@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags or arguments), 2 for
-runtime failures, which includes a diagnostic check that ran cleanly and
-found its property violated.  All stdout output is byte-deterministic for
-fixed inputs; progress and status notes go to stderr.
+bad file contents and runtime failures, which includes a diagnostic check
+that ran cleanly and found its property violated.  All stdout output is
+byte-deterministic for fixed inputs at a fixed BLAS thread count; progress
+and status notes go to stderr.
 
 Seeds resolve in order: an explicit ``--seed`` flag, then the ``CS_SEED``
 environment variable, then 0.
@@ -107,7 +108,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", metavar="PATH", required=True)
     p.add_argument("--out-csv", metavar="PATH")
     p.add_argument("--out-json", metavar="PATH")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; cells always run serially")
 
     p = sub.add_parser("image-demo", help="sparse image recovery demo")
     group = p.add_mutually_exclusive_group(required=True)
@@ -223,7 +225,9 @@ def _cmd_jl_size(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = experiments.ExperimentSpec.from_json(Path(args.spec).read_text())
-    result = experiments.sweep(spec, threads=args.threads)
+    if args.threads < 1:
+        raise ValueError(f"threads must be positive, got {args.threads}")
+    result = experiments.sweep(spec)
     text = experiments.results_csv(result)
     if args.out_csv:
         Path(args.out_csv).write_text(text)

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import DimensionError
 from .rng import Stream
@@ -48,19 +49,13 @@ ENSEMBLES = (
 
 __all__ = [
     "ENSEMBLES",
-    "BinarySymmetricMatrix",
     "MeasurementMatrix",
     "SymmetricSignMatrix",
     "descriptor_from_json",
     "entries_csv",
-    "from_adjacency",
-    "gen_iid_ensemble",
     "gen_measurement",
-    "gen_random_adjacency",
-    "gen_structured",
     "gen_symmetric_sign_matrix",
     "partial_rows",
-    "to_adjacency",
 ]
 
 
@@ -84,28 +79,6 @@ class SymmetricSignMatrix:
             raise DimensionError("signs matrix is not symmetric")
         if not np.all(np.abs(s) == 1):
             raise DimensionError("signs entries must be +-1")
-
-
-@dataclass(frozen=True, eq=False)
-class BinarySymmetricMatrix:
-    """Symmetric 0/1 adjacency-style matrix (self-loops allowed, uint8)."""
-
-    dimension: int
-    seed: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        b = self.bits
-        if b.shape != (self.dimension, self.dimension):
-            raise DimensionError(
-                f"bits shape {b.shape} does not match dimension {self.dimension}"
-            )
-        if b.dtype != np.uint8:
-            raise DimensionError(f"bits must be uint8, got {b.dtype}")
-        if not np.array_equal(b, b.T):
-            raise DimensionError("bits matrix is not symmetric")
-        if not np.all((b == 0) | (b == 1)):
-            raise DimensionError("bits entries must be 0 or 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,15 +170,19 @@ def partial_rows(full: SymmetricSignMatrix, rows: int) -> MeasurementMatrix:
     )
 
 
-def gen_iid_ensemble(rows: int, dimension: int, seed: int, kind: str) -> MeasurementMatrix:
-    """Independent-entry ensembles: ``iid-bernoulli`` or ``gaussian``."""
+def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> MeasurementMatrix:
+    """Draw the named ensemble's ``rows x dimension`` measurement matrix."""
+    if ensemble not in ENSEMBLES:
+        raise DimensionError(f"unknown ensemble {ensemble!r}")
+    if ensemble == "partial-symmetric-bernoulli":
+        return partial_rows(gen_symmetric_sign_matrix(dimension, seed), rows)
     _check_shape(rows, dimension)
     stream = Stream(seed)
     scale = rows ** -0.5
-    if kind == "iid-bernoulli":
+    if ensemble == "iid-bernoulli":
         signs = stream.signs(rows * dimension).reshape(rows, dimension)
         return MeasurementMatrix(
-            ensemble=kind,
+            ensemble=ensemble,
             rows=rows,
             dimension=dimension,
             seed=seed,
@@ -213,87 +190,26 @@ def gen_iid_ensemble(rows: int, dimension: int, seed: int, kind: str) -> Measure
             entries=signs.astype(np.float64) * scale,
             signs=signs,
         )
-    if kind == "gaussian":
-        vals = stream.normals(rows * dimension).reshape(rows, dimension)
-        return MeasurementMatrix(
-            ensemble=kind,
-            rows=rows,
-            dimension=dimension,
-            seed=seed,
-            scale=scale,
-            entries=vals * scale,
-        )
-    raise DimensionError(f"unknown iid ensemble {kind!r}")
-
-
-def gen_structured(rows: int, dimension: int, seed: int, kind: str) -> MeasurementMatrix:
-    """Structured gaussian-source ensembles: ``toeplitz`` or ``circulant``."""
-    _check_shape(rows, dimension)
-    source = Stream(seed).normals(rows * dimension).reshape(rows, dimension)
-    scale = rows ** -0.5
-    if kind == "toeplitz":
-        first_row = source[0]
-        first_col = np.empty(rows)
-        first_col[0] = source[0, 0]
-        if rows > 1:
-            first_col[1:] = source[1, 1:rows]
-        vals = np.empty((rows, dimension))
-        for i in range(rows):
-            if i > 0:
-                vals[i, :i] = first_col[i:0:-1]
-            vals[i, i:] = first_row[: dimension - i]
-    elif kind == "circulant":
-        first_row = source[0]
-        vals = np.empty((rows, dimension))
-        for i in range(rows):
-            vals[i] = np.roll(first_row, i)
+    source = stream.normals(rows * dimension)
+    first_row = source[:dimension]
+    if ensemble == "gaussian":
+        vals = source.reshape(rows, dimension)
+    elif ensemble == "toeplitz":
+        # below the corner the first column is source row 1, entries 1..rows-1
+        first_col = np.concatenate((source[:1], source[dimension + 1 : dimension + rows]))
+        vals = toeplitz(first_col, first_row)
     else:
-        raise DimensionError(f"unknown structured ensemble {kind!r}")
+        # a circulant is the toeplitz matrix whose first column is the first
+        # row read cyclically backwards: entry (i, j) is first_row[(j - i) % N]
+        vals = toeplitz(first_row[-np.arange(rows) % dimension], first_row)
     return MeasurementMatrix(
-        ensemble=kind,
+        ensemble=ensemble,
         rows=rows,
         dimension=dimension,
         seed=seed,
         scale=scale,
         entries=vals * scale,
     )
-
-
-def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> MeasurementMatrix:
-    """Dispatch to the named ensemble's generator."""
-    if ensemble == "partial-symmetric-bernoulli":
-        return partial_rows(gen_symmetric_sign_matrix(dimension, seed), rows)
-    if ensemble in ("iid-bernoulli", "gaussian"):
-        return gen_iid_ensemble(rows, dimension, seed, ensemble)
-    if ensemble in ("toeplitz", "circulant"):
-        return gen_structured(rows, dimension, seed, ensemble)
-    raise DimensionError(f"unknown ensemble {ensemble!r}")
-
-
-def gen_random_adjacency(dimension: int, seed: int) -> BinarySymmetricMatrix:
-    """Random symmetric 0/1 matrix with self-loops allowed.
-
-    Bit ``(i, j)`` on the upper triangle is 1 exactly when the sign draw at
-    the same stream position is ``+1``, so the adjacency route and the sign
-    route are two encodings of one coin sequence.
-    """
-    full = gen_symmetric_sign_matrix(dimension, seed)
-    bits = ((full.signs + 1) // 2).astype(np.uint8)
-    return BinarySymmetricMatrix(dimension=dimension, seed=seed, bits=bits)
-
-
-def from_adjacency(adjacency: BinarySymmetricMatrix) -> SymmetricSignMatrix:
-    """Map a 0/1 symmetric matrix A to the sign matrix 2A - 1."""
-    signs = (2 * adjacency.bits.astype(np.int16) - 1).astype(np.int8)
-    return SymmetricSignMatrix(
-        dimension=adjacency.dimension, seed=adjacency.seed, signs=signs
-    )
-
-
-def to_adjacency(full: SymmetricSignMatrix) -> BinarySymmetricMatrix:
-    """Inverse of :func:`from_adjacency`: A = (S + 1) / 2."""
-    bits = ((full.signs + 1) // 2).astype(np.uint8)
-    return BinarySymmetricMatrix(dimension=full.dimension, seed=full.seed, bits=bits)
 
 
 def descriptor_from_json(text: str) -> MeasurementMatrix:

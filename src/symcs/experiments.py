@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Final
 
@@ -68,14 +67,12 @@ __all__ = [
     "derive_seed",
     "mse",
     "plant_signal",
-    "read_results",
     "rel_err",
     "results_csv",
     "results_json",
     "run_trial",
     "snr_db",
     "sweep",
-    "write_results",
 ]
 
 
@@ -414,27 +411,16 @@ def _run_cell(spec: ExperimentSpec, ensemble: str, axis_index: int) -> SweepRow:
     )
 
 
-def sweep(spec: ExperimentSpec, threads: int = 1) -> SweepResult:
-    """Run every (ensemble, axis value) cell of a spec.
+def sweep(spec: ExperimentSpec) -> SweepResult:
+    """Run every (ensemble, axis value) cell of a spec, one after another.
 
     Row order is ensembles in spec order, then axis values in spec order.
-    ``threads`` only parallelizes independent cells; seeds are derived per
-    trial, so the result is identical for any thread count.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-    tasks = [
-        (ensemble, axis_index)
+    rows = [
+        _run_cell(spec, ensemble, axis_index)
         for ensemble in spec.ensembles
         for axis_index in range(len(spec.axis_values))
     ]
-    if threads == 1:
-        rows = [_run_cell(spec, ensemble, idx) for ensemble, idx in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda t: _run_cell(spec, t[0], t[1]), tasks)
-            )
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
@@ -489,43 +475,3 @@ def results_json(result: SweepResult) -> str:
         rows.append(entry)
     data = {"spec": json.loads(result.spec.to_json()), "rows": rows}
     return json.dumps(data, sort_keys=True, indent=2)
-
-
-def write_results(result: SweepResult, csv_path, json_path=None) -> None:
-    with open(csv_path, "w") as handle:
-        handle.write(results_csv(result))
-    if json_path is not None:
-        with open(json_path, "w") as handle:
-            handle.write(results_json(result))
-
-
-def read_results(text: str) -> tuple:
-    """Parse :func:`results_csv` output back into SweepRow tuples."""
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != _CSV_HEADER:
-        raise DimensionError(f"unexpected CSV header {lines[0] if lines else ''!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise DimensionError(f"expected 8 fields, got {len(parts)}: {line!r}")
-        ensemble, axis, value_text, trials, successes, rate, mean_err, mean_iter = parts
-        try:
-            value = int(value_text)
-        except ValueError:
-            value = float(value_text)
-        row = SweepRow(
-            ensemble=ensemble,
-            axis=axis,
-            axis_value=value,
-            trials=int(trials),
-            successes=int(successes),
-            mean_rel_err=float(mean_err),
-            mean_iterations=float(mean_iter),
-        )
-        if row.success_rate != float(rate):
-            raise DimensionError(
-                f"success_rate {rate} disagrees with {row.successes}/{row.trials}"
-            )
-        rows.append(row)
-    return tuple(rows)

@@ -15,7 +15,6 @@ rounds and clamps to byte range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -36,7 +35,6 @@ __all__ = [
     "parse_pgm",
     "pgm_bytes",
     "read_pgm",
-    "sparsify",
     "synthetic_sparse_image",
     "write_pgm",
 ]
@@ -177,23 +175,6 @@ def pgm_bytes(image: GrayImage, raw: bool = False) -> bytes:
 
 def write_pgm(image: GrayImage, path, raw: bool = False) -> None:
     Path(path).write_bytes(pgm_bytes(image, raw=raw))
-
-
-def sparsify(values: np.ndarray, keep: int) -> np.ndarray:
-    """Zero all but the ``keep`` largest-magnitude entries.
-
-    Ties break toward the lower flat index (stable order on descending
-    magnitude), so the result is fully deterministic.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not 0 <= keep <= values.size:
-        raise DimensionError(f"need 0 <= keep <= {values.size}, got {keep}")
-    flat = values.reshape(-1)
-    order = np.argsort(-np.abs(flat), kind="stable")
-    out = np.zeros_like(flat)
-    chosen = order[:keep]
-    out[chosen] = flat[chosen]
-    return out.reshape(values.shape)
 
 
 @dataclass(frozen=True, eq=False)

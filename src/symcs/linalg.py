@@ -16,23 +16,10 @@ from .errors import ConvergenceError, DimensionError, SingularMatrixError
 
 __all__ = [
     "gram_on_support",
-    "matvec",
     "soft_threshold",
     "solve_spd",
     "sym_eigen_extremes",
 ]
-
-
-def matvec(matrix, vector: np.ndarray) -> np.ndarray:
-    """Apply a MeasurementMatrix (or plain 2-d array) to a vector."""
-    entries = getattr(matrix, "entries", matrix)
-    entries = np.asarray(entries, dtype=np.float64)
-    vector = np.asarray(vector, dtype=np.float64)
-    if entries.ndim != 2 or vector.ndim != 1 or entries.shape[1] != vector.shape[0]:
-        raise DimensionError(
-            f"cannot apply shape {entries.shape} to vector of length {vector.shape}"
-        )
-    return entries @ vector
 
 
 def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ __all__ = [
     "RipEstimate",
     "delta2_coherence",
     "delta_k_bruteforce",
-    "min_measurements_heuristic",
     "recovery_condition",
 ]
 
@@ -103,14 +102,3 @@ def recovery_condition(delta2k: float) -> bool:
     if delta2k < 0.0:
         raise ValueError(f"isometry constant cannot be negative, got {delta2k}")
     return delta2k < math.sqrt(2.0) - 1.0
-
-
-def min_measurements_heuristic(sparsity: int, dimension: int, delta: float) -> int:
-    """Heuristic row count ``ceil(k * ln(N/k) / delta)`` for a target constant."""
-    if not 1 <= sparsity < dimension:
-        raise DimensionError(
-            f"need 1 <= sparsity < dimension, got {sparsity}, {dimension}"
-        )
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return math.ceil(sparsity * math.log(dimension / sparsity) / delta)

@@ -85,6 +85,10 @@ def _check_rhs(entries: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"rhs shape {y.shape} does not match {entries.shape[0]} rows"
         )
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        first = int(bad[0])
+        raise DimensionError(f"measurement y[{first}] = {y[first]:.17g} is not finite")
     return y
 
 
@@ -135,8 +139,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             status = "converged"
             iterations = it
             break
-    feas = float(np.linalg.norm(a @ x - y))
-    if feas > cfg.feas_tol * max(1.0, float(np.linalg.norm(y))):
+    if not verify_solution(a, x, y, 0.0, cfg.feas_tol):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -158,7 +161,7 @@ def bpdn(
     ``I + A A^T``.  ``epsilon = 0`` delegates to :func:`basis_pursuit`;
     ``|y|_2 <= epsilon`` returns the zero solution immediately.
     """
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config or SolverConfig()
     a = _entries(matrix)
@@ -216,8 +219,7 @@ def bpdn(
             status = "converged"
             iterations = it
             break
-    feas = float(np.linalg.norm(a @ x - y))
-    if feas > epsilon + cfg.feas_tol * max(1.0, float(np.linalg.norm(y))):
+    if not verify_solution(a, x, y, epsilon, cfg.feas_tol):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -230,7 +232,11 @@ def bpdn(
 
 def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0,
                     feas_tol: float = 1e-6) -> bool:
-    """Whether ``x`` satisfies the (noisy) measurement constraint."""
+    """Whether ``x`` satisfies the (noisy) measurement constraint.
+
+    The test is ``|Ax - y|_2 <= epsilon + feas_tol * max(1, |y|_2)``; both
+    ADMM solvers apply it to their final iterate.
+    """
     a = _entries(matrix)
     y = _check_rhs(a, y)
     x = np.asarray(x, dtype=np.float64)

@@ -149,6 +149,22 @@ def test_recover_reports_infeasible(capsys, tmp_path):
     assert "status=infeasible-detected" in err
 
 
+def test_recover_rejects_non_finite_measurement(capsys, tmp_path):
+    matrix = ensembles.gen_measurement("partial-symmetric-bernoulli", 4, 8, 3)
+    descriptor = tmp_path / "matrix.json"
+    descriptor.write_text(matrix.descriptor_json())
+    measurements = tmp_path / "y.txt"
+    measurements.write_text("1.0\nnan\n0.5\n-1.0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["recover", "--descriptor", str(descriptor),
+         "--measurements", str(measurements)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: measurement y[1] = nan is not finite\n"
+
+
 def test_rip_scan_matches_module(capsys):
     argv = ["rip-scan", "-n", "12", "-N", "24", "--order", "2", "--seed", "0"]
     code, out, _ = run_cli(capsys, argv)
@@ -280,6 +296,16 @@ def test_sweep_thread_count_does_not_change_output(capsys, tmp_path):
         capsys, ["sweep", "--spec", str(spec_path), "--threads", "3"]
     )
     assert serial == threaded
+
+
+def test_sweep_rejects_nonpositive_threads(capsys, tmp_path):
+    spec_path = sweep_spec_file(tmp_path)
+    code, out, err = run_cli(
+        capsys, ["sweep", "--spec", str(spec_path), "--threads", "0"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "threads must be positive" in err
 
 
 def test_sweep_bad_spec_exits_two(capsys, tmp_path):

@@ -17,7 +17,6 @@ from symcs.imageio import (
     parse_pgm,
     pgm_bytes,
     read_pgm,
-    sparsify,
     synthetic_sparse_image,
     write_pgm,
 )
@@ -127,40 +126,6 @@ def test_file_roundtrip(tmp_path):
 def test_roundtrip_property(pixels, raw):
     img = GrayImage(pixels=pixels)
     assert parse_pgm(pgm_bytes(img, raw=raw)) == img
-
-
-def test_sparsify_stable_ties():
-    vec = np.array([3.0, -3.0, 1.0])
-    assert sparsify(vec, 1).tolist() == [3.0, 0.0, 0.0]
-    assert sparsify(vec, 2).tolist() == [3.0, -3.0, 0.0]
-    assert sparsify(vec, 0).tolist() == [0.0, 0.0, 0.0]
-    assert sparsify(vec, 3).tolist() == vec.tolist()
-    square = np.array([[1.0, -4.0], [2.0, 0.5]])
-    assert sparsify(square, 2).tolist() == [[0.0, -4.0], [2.0, 0.0]]
-    with pytest.raises(DimensionError):
-        sparsify(vec, -1)
-    with pytest.raises(DimensionError):
-        sparsify(vec, 4)
-
-
-@given(
-    values=hnp.arrays(
-        dtype=np.float64,
-        shape=st.integers(min_value=1, max_value=12),
-        elements=st.floats(min_value=-50, max_value=50),
-    ),
-    keep=st.integers(min_value=0, max_value=12),
-)
-@settings(max_examples=40, deadline=None)
-def test_sparsify_property(values, keep):
-    keep = min(keep, values.size)
-    out = sparsify(values, keep)
-    assert np.count_nonzero(out) <= keep
-    kept = np.abs(out[out != 0.0])
-    dropped = np.abs(values[out == 0.0])
-    if kept.size and dropped.size:
-        assert kept.min() >= dropped.max() - 1e-12
-    np.testing.assert_array_equal(sparsify(out, keep), out)
 
 
 def test_synthetic_sparse_image_contract():

@@ -70,14 +70,6 @@ def test_gram_rejects_repeated_support():
         la.gram_on_support(matrix, np.array([1, 1]))
 
 
-def test_matvec_applies_measurement_matrix():
-    matrix = ens.gen_measurement("gaussian", 3, 5, 2)
-    x = np.arange(5.0)
-    assert np.array_equal(la.matvec(matrix, x), matrix.entries @ x)
-    with pytest.raises(DimensionError):
-        la.matvec(matrix, np.ones(4))
-
-
 def test_soft_threshold_known_values():
     out = la.soft_threshold(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]), 1.0)
     assert np.array_equal(out, np.array([-1.0, -0.0, 0.0, 0.0, 1.0]))

@@ -22,7 +22,6 @@ from symcs.rip import (
     RipEstimate,
     delta2_coherence,
     delta_k_bruteforce,
-    min_measurements_heuristic,
     recovery_condition,
 )
 
@@ -142,14 +141,3 @@ def test_recovery_condition_threshold():
     assert not recovery_condition(math.sqrt(2.0) - 1.0)
     with pytest.raises(ValueError):
         recovery_condition(-0.1)
-
-
-def test_min_measurements_heuristic_values():
-    assert min_measurements_heuristic(20, 256, 0.1) == 510
-    assert min_measurements_heuristic(1, 2, 1.0) == math.ceil(math.log(2.0))
-    with pytest.raises(DimensionError):
-        min_measurements_heuristic(0, 10, 0.1)
-    with pytest.raises(DimensionError):
-        min_measurements_heuristic(10, 10, 0.1)
-    with pytest.raises(ValueError):
-        min_measurements_heuristic(2, 10, 0.0)

@@ -158,8 +158,19 @@ def test_bpdn_small_rhs_shortcut():
 
 def test_bpdn_rejects_negative_epsilon():
     mat = gen_measurement("partial-symmetric-bernoulli", 6, 12, 1)
-    with pytest.raises(ValueError):
-        bpdn(mat, np.zeros(6), -0.1)
+    for epsilon in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            bpdn(mat, np.ones(6), epsilon)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_reject_non_finite_measurements(bad):
+    mat, _, y = planted_instance(12, 20, 3, 3)
+    y[4] = bad
+    with pytest.raises(DimensionError, match=r"y\[4\] = .* is not finite"):
+        basis_pursuit(mat, y)
+    with pytest.raises(DimensionError, match=r"y\[4\] = .* is not finite"):
+        bpdn(mat, y, 0.1)
 
 
 def test_bpdn_recovers_from_noisy_measurements():
