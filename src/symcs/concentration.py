@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import SymmetricSignMatrix, gen_symmetric_sign_matrix
+from .ensembles import gen_symmetric_sign_matrix
 from .errors import DimensionError, EnumerationTooLargeError
 from .rng import Stream, derive_seed
 
@@ -53,22 +53,18 @@ __all__ = [
 ]
 
 
-def q_statistics(full: SymmetricSignMatrix, rows: int, alpha: np.ndarray):
-    """Row statistics ``Q_1..Q_rows`` for ``alpha`` and their energy ``S``.
+def q_statistics(signs: np.ndarray, alpha: np.ndarray):
+    """Row statistics ``Q_1..Q_n`` of a sign row block for ``alpha``, and ``S``.
 
-    Returns ``(values, total)`` where ``values[j] = (M_j . alpha)/sqrt(N)``
-    and ``total = sum(values**2)``.
+    ``signs`` holds the first ``n`` rows of an ``N x N`` symmetric sign
+    matrix.  Returns ``(values, total)`` where
+    ``values[j] = (M_j . alpha)/sqrt(N)`` and ``total = sum(values**2)``.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (full.dimension,):
-        raise DimensionError(
-            f"alpha shape {alpha.shape} does not match dimension {full.dimension}"
-        )
-    if not 1 <= rows <= full.dimension:
-        raise DimensionError(
-            f"need 1 <= rows <= dimension, got {rows}, {full.dimension}"
-        )
-    values = (full.signs[:rows].astype(np.float64) @ alpha) / math.sqrt(full.dimension)
+    signs = np.asarray(signs)
+    if signs.ndim != 2 or not 1 <= signs.shape[0] <= signs.shape[1]:
+        raise DimensionError(f"need an n x N row block with 1 <= n <= N, got {signs.shape}")
+    alpha = _check_alpha(alpha, signs.shape[1])
+    values = (signs.astype(np.float64) @ alpha) / math.sqrt(signs.shape[1])
     return values, float(values @ values)
 
 
@@ -246,8 +242,8 @@ def empirical_tails(
 ) -> tuple:
     """Tail frequencies at several thresholds over one shared trial sample.
 
-    Trial ``t`` draws its symmetric matrix with seed
-    ``derive_seed(master_seed, [t, 0])`` and its unit vector with
+    Trial ``t`` draws the first ``rows`` rows of its symmetric matrix with
+    seed ``derive_seed(master_seed, [t, 0])`` and its unit vector with
     ``derive_seed(master_seed, [t, 1])``, so any single trial can be
     reproduced in isolation; every threshold is evaluated against the same
     energies.  Returns one report per threshold, in the given order.
@@ -263,9 +259,9 @@ def empirical_tails(
     lower = [0] * len(eps_values)
     total = 0.0
     for t in range(trials):
-        full = gen_symmetric_sign_matrix(dimension, derive_seed(master_seed, [t, 0]))
+        signs = gen_symmetric_sign_matrix(rows, dimension, derive_seed(master_seed, [t, 0]))
         alpha = random_unit_vector(dimension, derive_seed(master_seed, [t, 1]))
-        _, energy = q_statistics(full, rows, alpha)
+        _, energy = q_statistics(signs, alpha)
         for i, eps in enumerate(eps_values):
             if energy >= (1.0 + eps) * target:
                 upper[i] += 1

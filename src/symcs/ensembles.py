@@ -4,9 +4,9 @@ Five named ensembles, all scaled by ``n**-0.5`` where ``n`` is the number of
 rows, so unit-variance entries give columns of expected unit norm:
 
 ``partial-symmetric-bernoulli``
-    An ``N x N`` symmetric matrix of independent ``+-1`` entries on the upper
-    triangle (diagonal included), mirrored below; the measurement matrix is
-    its first ``n`` rows.
+    The first ``n`` rows of an ``N x N`` symmetric matrix of independent
+    ``+-1`` entries on the upper triangle (diagonal included), mirrored
+    below.  Only those rows are drawn.
 ``iid-bernoulli``
     Independent ``+-1`` entries throughout, no symmetry.
 ``gaussian``
@@ -22,10 +22,14 @@ rows, so unit-variance entries give columns of expected unit norm:
 
 Sign draws consume one stream output per upper-triangle entry in row-major
 order (for the symmetric ensemble) or per entry in row-major order (for
-``iid-bernoulli``).  Gaussian-family ensembles consume ``n * N`` normal
-variates row-major; toeplitz and circulant draw the full source matrix and
-then read the entries they need, so the three share first rows at equal
-seeds.
+``iid-bernoulli``).  The symmetric ensemble draws only its ``n`` rows: the
+prefix of ``n*N - n(n-1)/2`` outputs fills their upper-triangle entries and
+the ``n x n`` block is mirrored, so they equal the first ``n`` rows of the
+full matrix at the same seed.  Gaussian-family ensembles consume ``n * N``
+normal variates row-major; toeplitz and circulant draw the full source
+matrix and then read the entries they need, so the three share first rows at
+equal seeds.  Every ensemble checks ``n * N <= MAX_ENTRIES`` before it
+allocates anything.
 """
 
 from __future__ import annotations
@@ -47,38 +51,18 @@ ENSEMBLES = (
     "circulant",
 )
 
+# 2**26 float64 entries are 512 MiB
+MAX_ENTRIES = 2**26
+
 __all__ = [
     "ENSEMBLES",
+    "MAX_ENTRIES",
     "MeasurementMatrix",
-    "SymmetricSignMatrix",
     "descriptor_from_json",
     "entries_csv",
     "gen_measurement",
     "gen_symmetric_sign_matrix",
-    "partial_rows",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricSignMatrix:
-    """Full ``N x N`` symmetric matrix with ``+-1`` entries (int8)."""
-
-    dimension: int
-    seed: int
-    signs: np.ndarray
-
-    def __post_init__(self):
-        s = self.signs
-        if s.shape != (self.dimension, self.dimension):
-            raise DimensionError(
-                f"signs shape {s.shape} does not match dimension {self.dimension}"
-            )
-        if s.dtype != np.int8:
-            raise DimensionError(f"signs must be int8, got {s.dtype}")
-        if not np.array_equal(s, s.T):
-            raise DimensionError("signs matrix is not symmetric")
-        if not np.all(np.abs(s) == 1):
-            raise DimensionError("signs entries must be +-1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,55 +116,37 @@ class MeasurementMatrix:
         return json.dumps(self.descriptor(), sort_keys=True)
 
 
-def gen_symmetric_sign_matrix(dimension: int, seed: int) -> SymmetricSignMatrix:
-    """Draw the full symmetric sign matrix for ``seed``.
+def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarray:
+    """First ``rows`` rows of the symmetric sign matrix for ``seed``, as int8.
 
-    Upper-triangle entries (diagonal included) are filled in row-major order,
-    one stream output each, then mirrored.
+    The full matrix fills its upper triangle (diagonal included) in
+    row-major order, one stream output each, and mirrors it below.  Its
+    first ``rows`` rows read only the prefix of ``rows*N - rows*(rows-1)/2``
+    outputs that fills their upper-triangle entries; the entries left of the
+    diagonal mirror the ``rows x rows`` block.
     """
-    if dimension < 1:
-        raise DimensionError(f"dimension must be positive, got {dimension}")
-    stream = Stream(seed)
-    count = dimension * (dimension + 1) // 2
-    draws = stream.signs(count)
-    signs = np.zeros((dimension, dimension), dtype=np.int8)
-    iu = np.triu_indices(dimension)
-    signs[iu] = draws
-    il = np.tril_indices(dimension, k=-1)
-    signs[il] = signs.T[il]
-    return SymmetricSignMatrix(dimension=dimension, seed=seed, signs=signs)
-
-
-def partial_rows(full: SymmetricSignMatrix, rows: int) -> MeasurementMatrix:
-    """First ``rows`` rows of a symmetric sign matrix, scaled by ``rows**-0.5``."""
-    if not 1 <= rows <= full.dimension:
-        raise DimensionError(
-            f"need 1 <= rows <= dimension, got {rows}, {full.dimension}"
-        )
-    scale = rows ** -0.5
-    signs = np.ascontiguousarray(full.signs[:rows])
-    return MeasurementMatrix(
-        ensemble="partial-symmetric-bernoulli",
-        rows=rows,
-        dimension=full.dimension,
-        seed=full.seed,
-        scale=scale,
-        entries=signs.astype(np.float64) * scale,
-        signs=signs,
-    )
+    _check_shape(rows, dimension)
+    draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
+    signs = np.zeros((rows, dimension), dtype=np.int8)
+    signs[np.triu(np.ones((rows, dimension), dtype=bool))] = draws
+    il = np.tril_indices(rows, k=-1)
+    signs[il] = signs[:, :rows].T[il]
+    return signs
 
 
 def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> MeasurementMatrix:
     """Draw the named ensemble's ``rows x dimension`` measurement matrix."""
     if ensemble not in ENSEMBLES:
         raise DimensionError(f"unknown ensemble {ensemble!r}")
-    if ensemble == "partial-symmetric-bernoulli":
-        return partial_rows(gen_symmetric_sign_matrix(dimension, seed), rows)
     _check_shape(rows, dimension)
     stream = Stream(seed)
     scale = rows ** -0.5
-    if ensemble == "iid-bernoulli":
+    signs = None
+    if ensemble == "partial-symmetric-bernoulli":
+        signs = gen_symmetric_sign_matrix(rows, dimension, seed)
+    elif ensemble == "iid-bernoulli":
         signs = stream.signs(rows * dimension).reshape(rows, dimension)
+    if signs is not None:
         return MeasurementMatrix(
             ensemble=ensemble,
             rows=rows,
@@ -239,7 +205,14 @@ def entries_csv(matrix: MeasurementMatrix) -> str:
 
 
 def _check_shape(rows: int, dimension: int) -> None:
+    for name, value in (("rows", rows), ("dimension", dimension)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DimensionError(f"{name} must be an integer, got {value!r}")
     if not 1 <= rows <= dimension:
         raise DimensionError(
             f"need 1 <= rows <= dimension, got {rows}, {dimension}"
+        )
+    if rows * dimension > MAX_ENTRIES:
+        raise DimensionError(
+            f"{rows} x {dimension} is {rows * dimension} entries; the cap is {MAX_ENTRIES}"
         )

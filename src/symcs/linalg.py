@@ -148,7 +148,7 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
             ) / lower[j, j]
 
-    def cho_solve(rhs_vec):
+    def substitute(rhs_vec):
         y = np.zeros(d)
         for i in range(d):
             y[i] = (rhs_vec[i] - np.dot(lower[i, :i], y[:i])) / lower[i, i]
@@ -157,6 +157,6 @@ def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             x[i] = (y[i] - np.dot(lower[i + 1 :, i], x[i + 1 :])) / lower[i, i]
         return x
 
-    x = cho_solve(b)
-    x = x + cho_solve(b - a @ x)
+    x = substitute(b)
+    x = x + substitute(b - a @ x)
     return x

@@ -1,14 +1,19 @@
 """L1-minimization solvers and tiny exact oracles.
 
-``basis_pursuit`` and ``bpdn`` run ADMM with cached Cholesky factorizations,
-sized for the experiment sweeps.  ``l1_oracle_small`` and ``l0_oracle_small``
-solve the same problems by brute-force enumeration (LP vertices, supports) at
-toy sizes; they share no iterate logic with the ADMM path, so the two routes
-can be compared as independent witnesses and are never merged.
+``basis_pursuit`` and ``bpdn`` run ADMM, sized for the experiment sweeps.
+Both share one row-space step: ``shift*I + A A^T = L L^T`` is factored once
+per solve (``shift`` is 0 for basis pursuit and 1 for ``bpdn``) and the row
+basis ``W = L^{-1} A`` is cached, so the projection of basis pursuit and the
+Woodbury x-update of ``bpdn`` are both ``v - W^T (W v)``.
+
+``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
+brute-force enumeration (LP vertices, supports) at toy sizes; they share no
+iterate logic with the ADMM path, so the two routes can be compared as
+independent witnesses and are never merged.
 
 Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly at the bit level:
-every update (linear solves, soft thresholding, ball projection from a zero
-start) is odd in IEEE arithmetic.
+every update (products with ``W``, soft thresholding, ball projection from a
+zero start) is odd in IEEE arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
 from .linalg import soft_threshold, solve_spd
@@ -92,12 +97,26 @@ def _check_rhs(entries: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _row_basis(a: np.ndarray, shift: float):
+    """Factor ``shift*I + A A^T = L L^T`` once; return ``L`` and ``W = L^{-1} A``.
+
+    ``W^T W = A^T (shift*I + A A^T)^{-1} A``, so ``v - W^T (W v)`` is the
+    projection onto the null space of ``A`` at ``shift = 0`` and the
+    Woodbury form of ``(I + A^T A)^{-1} v`` at ``shift = 1``.  Raises
+    LinAlgError when the shifted Gram matrix is not positive definite.
+    """
+    gram = a @ a.T
+    gram[np.diag_indices_from(gram)] += shift
+    lower = cholesky(gram, lower=True)
+    return lower, solve_triangular(lower, a, lower=True)
+
+
 def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
     """Minimize ``|x|_1`` subject to ``Ax = y`` by ADMM.
 
-    The x-update is the exact projection onto the affine constraint set via a
-    cached factorization of ``A A^T``, so every iterate (and the returned
-    solution) is feasible to factorization accuracy.  A rank-deficient row
+    The x-update is the exact projection onto the affine constraint set
+    through the row basis ``W`` of ``A A^T = L L^T``, so every iterate (and
+    the returned solution) is feasible to factorization accuracy.  A rank-deficient row
     space leaves no projection to compute and is reported as
     ``infeasible-detected`` with a zero solution.
     """
@@ -106,7 +125,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     y = _check_rhs(a, y)
     n, width = a.shape
     try:
-        factor = cho_factor(a @ a.T)
+        lower, basis = _row_basis(a, 0.0)
     except LinAlgError:
         return SolverResult(
             solution=np.zeros(width),
@@ -115,10 +134,10 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             primal_residual=math.inf,
             dual_residual=math.inf,
         )
-    particular = a.T @ cho_solve(factor, y)
+    particular = basis.T @ solve_triangular(lower, y, lower=True)
 
     def project(v: np.ndarray) -> np.ndarray:
-        return v - a.T @ cho_solve(factor, a @ v) + particular
+        return v - basis.T @ (basis @ v) + particular
 
     shrink = 1.0 / cfg.penalty
     z = np.zeros(width)
@@ -157,9 +176,10 @@ def bpdn(
 
     Three-block splitting: an l1 copy of ``x``, a residual copy of ``Ax``
     projected onto the epsilon-ball around ``y``, and an x-update solved
-    through the Woodbury identity with a cached factorization of
-    ``I + A A^T``.  ``epsilon = 0`` delegates to :func:`basis_pursuit`;
-    ``|y|_2 <= epsilon`` returns the zero solution immediately.
+    through the Woodbury identity with the row basis ``W`` of
+    ``I + A A^T = L L^T``.  ``epsilon = 0`` delegates to
+    :func:`basis_pursuit`; ``|y|_2 <= epsilon`` returns the zero solution
+    immediately.
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
@@ -177,10 +197,10 @@ def bpdn(
             primal_residual=0.0,
             dual_residual=0.0,
         )
-    factor = cho_factor(np.eye(n) + a @ a.T)
+    _, basis = _row_basis(a, 1.0)
 
     def solve_normal(b: np.ndarray) -> np.ndarray:
-        return b - a.T @ cho_solve(factor, a @ b)
+        return b - basis.T @ (basis @ b)
 
     def ball(v: np.ndarray) -> np.ndarray:
         gap = v - y

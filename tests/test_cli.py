@@ -1,10 +1,17 @@
 """Command line behavior: exit codes, byte-deterministic output, file IO."""
 
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symcs
 from symcs import concentration, ensembles, experiments, imageio, rip, solver
 from symcs.cli import main
 
@@ -99,6 +106,55 @@ def test_runtime_errors_exit_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_size_over_the_cap_exits_two_before_allocating(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys,
+        ["gen-matrix", "--ensemble", "partial-symmetric-bernoulli",
+         "-n", "1", "-N", str(ensembles.MAX_ENTRIES + 1)],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "the cap is" in err
+    descriptor = tmp_path / "matrix.json"
+    descriptor.write_text(json.dumps(
+        {"ensemble": "gaussian", "n": 2**13 + 1, "N": 2**13 + 1, "seed": 0, "scale": 1.0}
+    ))
+    measurements = tmp_path / "y.txt"
+    measurements.write_text("1.0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["recover", "--descriptor", str(descriptor), "--measurements", str(measurements)],
+    )
+    assert (code, out) == (2, "")
+    assert "the cap is" in err
+
+
+@pytest.mark.parametrize("rows", ['"2"', "2.0", "null"])
+def test_recover_rejects_non_integer_descriptor_shape(capsys, tmp_path, rows):
+    descriptor = tmp_path / "matrix.json"
+    descriptor.write_text(
+        f'{{"ensemble": "gaussian", "n": {rows}, "N": 4, "seed": 0, "scale": 1.0}}'
+    )
+    measurements = tmp_path / "y.txt"
+    measurements.write_text("1.0\n2.0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["recover", "--descriptor", str(descriptor), "--measurements", str(measurements)],
+    )
+    assert (code, out) == (2, "")
+    assert "rows must be an integer" in err
+
+
+def test_memory_error_exits_two_with_a_message(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ensembles, "gen_measurement", exhausted)
+    code, out, err = run_cli(
+        capsys, ["gen-matrix", "--ensemble", "gaussian", "-n", "2", "-N", "3"]
+    )
+    assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 def test_recover_roundtrip(capsys, tmp_path):
@@ -296,6 +352,35 @@ def test_sweep_thread_count_does_not_change_output(capsys, tmp_path):
         capsys, ["sweep", "--spec", str(spec_path), "--threads", "3"]
     )
     assert serial == threaded
+
+
+def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
+    # README's contract: a BLAS thread count may move the last digits of
+    # mean_rel_err (about 3e-17 on this cell) and nothing else
+    spec = {"N": 256, "axis": "k", "axisValues": [15], "fixed": {"n": 100},
+            "trials": 5, "ensembleList": ["partial-symmetric-bernoulli"],
+            "masterSeed": 96}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    src = str(Path(symcs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "symcs", "sweep", "--spec", str(spec_path)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        tables.append(list(csv.DictReader(io.StringIO(done.stdout))))
+    one, two = tables
+    assert len(one) == len(two) == 1
+    for row_one, row_two in zip(one, two):
+        assert list(row_one) == list(row_two)
+        for column in row_one:
+            if column == "mean_rel_err":
+                assert abs(float(row_one[column]) - float(row_two[column])) <= 1e-12
+            else:
+                assert row_one[column] == row_two[column]
 
 
 def test_sweep_rejects_nonpositive_threads(capsys, tmp_path):

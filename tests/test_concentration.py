@@ -148,9 +148,10 @@ def test_empirical_tails_counts_match_direct_recount():
     reports = empirical_tails(dimension, rows, eps_values, trials, master)
     energies = []
     for t in range(trials):
-        full = gen_symmetric_sign_matrix(dimension, derive_seed(master, [t, 0]))
+        # the first rows of the full matrix, drawn independently of the prefix
+        full = gen_symmetric_sign_matrix(dimension, dimension, derive_seed(master, [t, 0]))
         alpha = random_unit_vector(dimension, derive_seed(master, [t, 1]))
-        _, energy = q_statistics(full, rows, alpha)
+        _, energy = q_statistics(full[:rows], alpha)
         energies.append(energy)
     target = rows / dimension
     for rep, eps in zip(reports, eps_values):
@@ -264,22 +265,24 @@ def test_distortion_within_edges():
 
 
 def test_q_statistics_axis_direction_exact():
-    full = gen_symmetric_sign_matrix(4, 9)
+    signs = gen_symmetric_sign_matrix(3, 4, 9)
     alpha = np.zeros(4)
     alpha[0] = 1.0
-    values, total = q_statistics(full, 3, alpha)
-    np.testing.assert_array_equal(values, full.signs[:3, 0] / 2.0)
+    values, total = q_statistics(signs, alpha)
+    np.testing.assert_array_equal(values, signs[:, 0] / 2.0)
     assert total == 0.75
 
 
 def test_q_statistics_rejects_bad_arguments():
-    full = gen_symmetric_sign_matrix(4, 9)
+    full = gen_symmetric_sign_matrix(4, 4, 9)
     with pytest.raises(DimensionError):
-        q_statistics(full, 2, np.ones(3))
+        q_statistics(full[:2], np.ones(3))
     with pytest.raises(DimensionError):
-        q_statistics(full, 0, np.ones(4))
+        q_statistics(full[:0], np.ones(4))
     with pytest.raises(DimensionError):
-        q_statistics(full, 5, np.ones(4))
+        q_statistics(np.vstack([full, full[:1]]), np.ones(4))
+    with pytest.raises(DimensionError):
+        q_statistics(full[0], np.ones(4))
 
 
 def test_random_unit_vector_frozen():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,20 +12,44 @@ from symcs.rng import Stream
 
 
 def test_symmetric_matrix_mirrors_upper_triangle():
-    full = ens.gen_symmetric_sign_matrix(6, 42)
-    assert full.signs.dtype == np.int8
-    assert np.array_equal(full.signs, full.signs.T)
+    full = ens.gen_symmetric_sign_matrix(6, 6, 42)
+    assert full.dtype == np.int8
+    assert np.array_equal(full, full.T)
     draws = Stream(42).signs(21)
-    assert np.array_equal(full.signs[np.triu_indices(6)], draws)
+    assert np.array_equal(full[np.triu_indices(6)], draws)
 
 
 def test_partial_rows_takes_prefix_and_scales():
-    full = ens.gen_symmetric_sign_matrix(6, 42)
-    matrix = ens.partial_rows(full, 3)
+    full = ens.gen_symmetric_sign_matrix(6, 6, 42)
+    matrix = ens.gen_measurement("partial-symmetric-bernoulli", 3, 6, 42)
     assert matrix.entries.shape == (3, 6)
     assert matrix.scale == 3 ** -0.5
-    assert np.array_equal(matrix.signs, full.signs[:3])
+    assert np.array_equal(matrix.signs, full[:3])
     assert np.array_equal(matrix.entries, matrix.signs.astype(np.float64) * matrix.scale)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 7, 16, 33])
+def test_symmetric_rows_are_a_prefix_of_the_full_matrix(dimension):
+    full = ens.gen_symmetric_sign_matrix(dimension, dimension, 5)
+    assert np.array_equal(full, full.T)
+    draws = Stream(5).signs(dimension * (dimension + 1) // 2)
+    assert np.array_equal(full[np.triu_indices(dimension)], draws)
+    for rows in range(1, dimension + 1):
+        assert np.array_equal(ens.gen_symmetric_sign_matrix(rows, dimension, 5), full[:rows])
+
+
+# sha256 of the int8 signs as the full N x N construction drew them (seed 0);
+# drawing only the rows' stream prefix must reproduce them bit for bit
+SYMMETRIC_DIGESTS = {
+    (100, 256): "0ceec75150faf340485da346d17de6127daa604dbcda4cb39ac829f50275b2d3",
+    (2400, 4096): "52692f2cdd1b8fd639062962a7d7b9a2c27bb84d68a20206af0cd463d2310cfe",
+}
+
+
+@pytest.mark.parametrize("rows, dimension", sorted(SYMMETRIC_DIGESTS))
+def test_symmetric_signs_are_frozen(rows, dimension):
+    signs = ens.gen_measurement("partial-symmetric-bernoulli", rows, dimension, 0).signs
+    assert hashlib.sha256(signs.tobytes()).hexdigest() == SYMMETRIC_DIGESTS[rows, dimension]
 
 
 def test_iid_bernoulli_consumes_row_major():
@@ -149,10 +174,28 @@ def test_generators_reject_bad_shapes():
     with pytest.raises(DimensionError):
         ens.gen_measurement("unknown", 2, 4, 0)
     with pytest.raises(DimensionError):
-        ens.gen_symmetric_sign_matrix(0, 0)
-    full = ens.gen_symmetric_sign_matrix(4, 0)
+        ens.gen_symmetric_sign_matrix(1, 0, 0)
     with pytest.raises(DimensionError):
-        ens.partial_rows(full, 5)
+        ens.gen_symmetric_sign_matrix(0, 4, 0)
+    with pytest.raises(DimensionError):
+        ens.gen_symmetric_sign_matrix(5, 4, 0)
+    with pytest.raises(DimensionError):
+        ens.gen_measurement("partial-symmetric-bernoulli", 5, 4, 0)
+
+
+@pytest.mark.parametrize("name", ens.ENSEMBLES)
+def test_every_ensemble_caps_its_size_before_allocating(name):
+    # one entry over the cap: rejected by the shape check, nothing is drawn
+    with pytest.raises(DimensionError, match="the cap is"):
+        ens.gen_measurement(name, 1, ens.MAX_ENTRIES + 1, 0)
+    with pytest.raises(DimensionError, match="the cap is"):
+        ens.gen_measurement(name, 2**13 + 1, 2**13 + 1, 0)
+
+
+@pytest.mark.parametrize("rows, dimension", [("2", 4), (2.0, 4), (2, 4.0), (True, 4)])
+def test_generators_reject_non_integer_shapes(rows, dimension):
+    with pytest.raises(DimensionError, match="must be an integer"):
+        ens.gen_measurement("gaussian", rows, dimension, 0)
 
 
 @settings(max_examples=25)

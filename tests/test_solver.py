@@ -193,6 +193,9 @@ def test_bpdn_negation_is_bitwise():
     minus = bpdn(mat, -yn, 0.1)
     assert np.array_equal(plus.solution, -minus.solution)
     assert plus.iterations == minus.iterations
+    assert plus.status == minus.status
+    assert plus.primal_residual == minus.primal_residual
+    assert plus.dual_residual == minus.dual_residual
 
 
 def test_l0_oracle_prefers_smallest_support():
