@@ -108,8 +108,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", metavar="PATH", required=True)
     p.add_argument("--out-csv", metavar="PATH")
     p.add_argument("--out-json", metavar="PATH")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; cells always run serially")
 
     p = sub.add_parser("image-demo", help="sparse image recovery demo")
     group = p.add_mutually_exclusive_group(required=True)
@@ -225,8 +223,6 @@ def _cmd_jl_size(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = experiments.ExperimentSpec.from_json(Path(args.spec).read_text())
-    if args.threads < 1:
-        raise ValueError(f"threads must be positive, got {args.threads}")
     result = experiments.sweep(spec)
     text = experiments.results_csv(result)
     if args.out_csv:

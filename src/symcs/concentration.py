@@ -360,21 +360,12 @@ def pairwise_distortion(matrix, points: np.ndarray, eps: float) -> DistortionRep
     numer = np.einsum("ij,ij->i", proj, proj)
     live = denom > 0.0
     ratios = numer[live] / denom[live]
-    degenerate = int(np.sum(~live))
-    if ratios.size == 0:
-        return DistortionReport(
-            eps=eps,
-            pairs=len(denom),
-            degenerate_pairs=degenerate,
-            min_ratio=math.nan,
-            max_ratio=math.nan,
-        )
     return DistortionReport(
         eps=eps,
         pairs=len(denom),
-        degenerate_pairs=degenerate,
-        min_ratio=float(ratios.min()),
-        max_ratio=float(ratios.max()),
+        degenerate_pairs=int(np.sum(~live)),
+        min_ratio=float(ratios.min()) if ratios.size else math.nan,
+        max_ratio=float(ratios.max()) if ratios.size else math.nan,
     )
 
 

@@ -185,11 +185,14 @@ def descriptor_from_json(text: str) -> MeasurementMatrix:
     scale``; the scale is recomputed and checked against the stored value.
     """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise DimensionError("descriptor must be a JSON object")
     expected = {"ensemble", "n", "N", "seed", "scale"}
     if set(data) != expected:
         raise DimensionError(
             f"descriptor keys {sorted(data)} do not match {sorted(expected)}"
         )
+    _check_integer("seed", data["seed"])
     matrix = gen_measurement(data["ensemble"], data["n"], data["N"], data["seed"])
     if matrix.scale != data["scale"]:
         raise DimensionError(
@@ -204,10 +207,14 @@ def entries_csv(matrix: MeasurementMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_shape(rows: int, dimension: int) -> None:
-    for name, value in (("rows", rows), ("dimension", dimension)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DimensionError(f"{name} must be an integer, got {value!r}")
+    _check_integer("rows", rows)
+    _check_integer("dimension", dimension)
     if not 1 <= rows <= dimension:
         raise DimensionError(
             f"need 1 <= rows <= dimension, got {rows}, {dimension}"

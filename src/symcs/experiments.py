@@ -198,6 +198,17 @@ def run_trial(
         )
 
 
+def _number(name: str, value, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer when asked), never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int)
+        or (not integer and isinstance(value, float) and math.isfinite(value))
+    ):
+        kind = "an integer" if integer else "a finite number"
+        raise DimensionError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Sweep description: one varying axis, everything else pinned.
@@ -277,30 +288,33 @@ class ExperimentSpec:
                 f"spec keys {sorted(keys)} must cover {sorted(required)} and "
                 f"stay within {sorted(required | optional)}"
             )
-        solver_cfg = SolverConfig()
-        if "solver" in data:
-            raw = data["solver"]
-            if not isinstance(raw, dict) or not set(raw) <= set(_SOLVER_KEYS):
-                raise DimensionError(
-                    f"solver keys must stay within {sorted(_SOLVER_KEYS)}"
-                )
-            solver_cfg = SolverConfig(
-                **{_SOLVER_KEYS[key]: value for key, value in raw.items()}
-            )
+        fixed, raw = data["fixed"], data.get("solver", {})
+        if not isinstance(raw, dict) or not set(raw) <= set(_SOLVER_KEYS):
+            raise DimensionError(f"solver keys must stay within {sorted(_SOLVER_KEYS)}")
+        if not isinstance(fixed, dict) or not all(
+            isinstance(data[key], list) for key in ("axisValues", "ensembleList")
+        ):
+            raise DimensionError("fixed must be an object, axisValues and ensembleList lists")
+        for value in data["axisValues"]:
+            _number("axisValues entry", value)
+        for key in set(fixed) & {"n", "k", "sigma"}:
+            _number(f"fixed {key}", fixed[key])
         return cls(
-            dimension=int(data["N"]),
+            dimension=_number("N", data["N"], integer=True),
             axis=data["axis"],
             axis_values=tuple(data["axisValues"]),
-            fixed=dict(data["fixed"]),
-            trials=int(data["trials"]),
+            fixed=dict(fixed),
+            trials=_number("trials", data["trials"], integer=True),
             ensembles=tuple(data["ensembleList"]),
-            master_seed=int(data["masterSeed"]),
-            success_tol=float(data.get("successTol", 1e-3)),
-            solver=solver_cfg,
+            master_seed=_number("masterSeed", data["masterSeed"], integer=True),
+            success_tol=float(_number("successTol", data.get("successTol", 1e-3))),
+            solver=SolverConfig(**{
+                _SOLVER_KEYS[key]: _number(f"solver {key}", value, key == "maxIterations")
+                for key, value in raw.items()
+            }),
         )
 
     def to_json(self) -> str:
-        cfg = self.solver
         data = {
             "N": self.dimension,
             "axis": self.axis,
@@ -310,13 +324,7 @@ class ExperimentSpec:
             "ensembleList": list(self.ensembles),
             "masterSeed": self.master_seed,
             "successTol": self.success_tol,
-            "solver": {
-                "maxIterations": cfg.max_iterations,
-                "primalTol": cfg.primal_tol,
-                "dualTol": cfg.dual_tol,
-                "penalty": cfg.penalty,
-                "feasTol": cfg.feas_tol,
-            },
+            "solver": {key: getattr(self.solver, name) for key, name in _SOLVER_KEYS.items()},
         }
         return json.dumps(data, sort_keys=True, indent=2)
 
@@ -383,31 +391,21 @@ def _run_cell(spec: ExperimentSpec, ensemble: str, axis_index: int) -> SweepRow:
         errors.append(outcome.rel_err)
         iterations.append(outcome.iterations)
         successes += outcome.success
-    mean_err = float(np.mean(errors))
-    mean_iter = float(np.mean(iterations))
+    mean_snr = exact = None
     if sigma > 0.0 or spec.axis == "sigma":
         finite = [snr_db(e) for e in errors if e > 0.0]
-        exact = sum(1 for e in errors if e == 0.0)
         mean_snr = float(np.mean(finite)) if finite else None
-        return SweepRow(
-            ensemble=ensemble,
-            axis=spec.axis,
-            axis_value=value,
-            trials=spec.trials,
-            successes=successes,
-            mean_rel_err=mean_err,
-            mean_iterations=mean_iter,
-            mean_snr_db=mean_snr,
-            exact_count=exact,
-        )
+        exact = sum(1 for e in errors if e == 0.0)
     return SweepRow(
         ensemble=ensemble,
         axis=spec.axis,
         axis_value=value,
         trials=spec.trials,
         successes=successes,
-        mean_rel_err=mean_err,
-        mean_iterations=mean_iter,
+        mean_rel_err=float(np.mean(errors)),
+        mean_iterations=float(np.mean(iterations)),
+        mean_snr_db=mean_snr,
+        exact_count=exact,
     )
 
 

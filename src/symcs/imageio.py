@@ -101,7 +101,6 @@ class _Scanner:
         return self.data[start : self.pos]
 
     def integer(self, label: str, low: int, high: int) -> int:
-        offset = self.pos
         tok = self.token()
         offset = self.pos - len(tok)
         if not tok.isdigit():
@@ -152,7 +151,6 @@ def parse_pgm(data: bytes) -> GrayImage:
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         scan.skip_separators(require=i > 0)
-        offset = scan.pos
         values[i] = scan.integer(f"pixel {i}", 0, maxval)
     scan.skip_separators(require=False)
     if scan.pos < len(scan.data):

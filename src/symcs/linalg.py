@@ -23,27 +23,30 @@ __all__ = [
 
 
 def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
-    """Gram matrix of the columns indexed by ``support``.
+    """Gram matrices of the columns indexed by ``support``.
 
-    For matrices that retain integer signs the entries are computed as
-    (integer sign dot product) / rows: the diagonal is exactly 1.0 and each
+    ``support`` is one index set of shape ``(k,)`` or a stack of them of
+    shape ``(c, k)``; the result is ``(k, k)`` or ``(c, k, k)``.  For
+    matrices that retain integer signs the entries are computed as (integer
+    sign dot product) / rows: the diagonal is exactly 1.0 and each
     off-diagonal is one rounded division.  The float fallback symmetrizes
-    explicitly so the result is always an exactly symmetric array.
+    explicitly so the result is always exactly symmetric.
     """
     support = np.asarray(support, dtype=np.int64)
-    if support.ndim != 1:
-        raise DimensionError("support must be a 1-d index array")
-    if support.size != np.unique(support).size:
+    if support.ndim not in (1, 2):
+        raise DimensionError("support must be a (k,) or (c, k) index array")
+    ordered = np.sort(support, axis=-1)
+    if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise DimensionError("support has repeated indices")
     signs = getattr(matrix, "signs", None)
     if signs is not None:
-        cols = signs[:, support].astype(np.int64)
-        dots = cols.T @ cols
+        cols = np.moveaxis(signs[:, support], 0, -1).astype(np.int64)
+        dots = cols @ np.swapaxes(cols, -1, -2)
         return dots.astype(np.float64) / signs.shape[0]
-    entries = getattr(matrix, "entries", matrix)
-    cols = np.asarray(entries, dtype=np.float64)[:, support]
-    g = cols.T @ cols
-    return (g + g.T) / 2.0
+    entries = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
+    cols = np.moveaxis(entries[:, support], 0, -1)
+    g = cols @ np.swapaxes(cols, -1, -2)
+    return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
 def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:

@@ -45,16 +45,6 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(values: np.ndarray) -> np.ndarray:
-    z = values.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MULT1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MULT2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def rotl64(value: int, count: int) -> int:
     """Rotate a 64-bit integer left by ``count`` bits."""
     v = value & MASK64
@@ -115,10 +105,18 @@ class Stream:
         """Next ``count`` outputs as a uint64 array."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        idx = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
+        # mix64 of seed + GAMMA*i, in place on one count-sized array (each
+        # shift makes one temporary)
+        z = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
-        with np.errstate(over="ignore"):
-            return _mix64_array(self._seed + np.uint64(GAMMA) * idx)
+        z *= np.uint64(GAMMA)
+        z += self._seed
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MULT1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MULT2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniforms(self, count: int) -> np.ndarray:
         """Doubles in [0, 1), one per output."""
@@ -126,8 +124,9 @@ class Stream:
 
     def signs(self, count: int) -> np.ndarray:
         """Values in {+1, -1} as int8, one per output."""
-        top = (self.raw(count) >> np.uint64(63)).astype(np.int8)
-        return (1 - 2 * top).astype(np.int8)
+        top = self.raw(count)
+        top >>= np.uint64(63)
+        return 1 - 2 * top.astype(np.int8)
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal variates via pairwise Box-Muller (see module doc)."""

@@ -297,10 +297,10 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
             f"{math.comb(2 * width, rank)} candidate supports; "
             f"the oracle cap is {_ORACLE_BASIS_CAP}"
         )
-    lstsq_fit, residual, lstsq_rank, _ = np.linalg.lstsq(stacked, y, rcond=None)
-    if float(np.linalg.norm(stacked @ lstsq_fit - y)) > tol * max(1.0, float(np.linalg.norm(y))):
-        raise InfeasibleError("rhs lies outside the matrix row space")
     feas_cut = tol * max(1.0, float(np.linalg.norm(y)))
+    lstsq_fit = np.linalg.lstsq(stacked, y, rcond=None)[0]
+    if float(np.linalg.norm(stacked @ lstsq_fit - y)) > feas_cut:
+        raise InfeasibleError("rhs lies outside the matrix row space")
     candidates = []
     for support in combinations(range(2 * width), rank):
         cols = stacked[:, support]

@@ -527,7 +527,7 @@ def test_11_cli_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
     tiny_path = tmp_path / "tiny.pgm"
     write_pgm(tiny, tiny_path)
 
-    def command_set(run_dir, threads):
+    def command_set(run_dir):
         run_dir.mkdir(exist_ok=True)
         return [
             (
@@ -562,8 +562,7 @@ def test_11_cli_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
             (
                 ["sweep", "--spec", str(spec_path),
                  "--out-csv", str(run_dir / "rows.csv"),
-                 "--out-json", str(run_dir / "rows.json"),
-                 "--threads", str(threads)],
+                 "--out-json", str(run_dir / "rows.json")],
                 ["rows.csv", "rows.json"],
             ),
             (
@@ -573,9 +572,9 @@ def test_11_cli_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
             ),
         ]
 
-    def run_all(run_dir, threads):
+    def run_all(run_dir):
         captured = []
-        for argv, outputs in command_set(run_dir, threads):
+        for argv, outputs in command_set(run_dir):
             code = cli.main(argv)
             stream = capsys.readouterr()
             assert code == 0, (argv, stream.err)
@@ -583,9 +582,9 @@ def test_11_cli_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
             captured.append((argv[0], stream.out.encode(), stream.err.encode(), files))
         return captured
 
-    first = run_all(tmp_path / "a", 1)
-    second = run_all(tmp_path / "b", 1)
-    third = run_all(tmp_path / "c", 2)
+    first = run_all(tmp_path / "a")
+    second = run_all(tmp_path / "b")
+    third = run_all(tmp_path / "c")
 
     mismatches = []
     for before, after in ((first, second), (first, third)):
@@ -603,7 +602,7 @@ def test_11_cli_reruns_are_byte_identical(capsys, tmp_path, monkeypatch):
         11,
         "cli reruns are byte-identical",
         ok,
-        f"{len(first)} subcommands, threads 1 and 2"
+        f"{len(first)} subcommands, three runs"
         + (f", mismatches: {mismatches}" if mismatches else ""),
     )
     assert not mismatches, mismatches

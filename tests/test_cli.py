@@ -146,6 +146,32 @@ def test_recover_rejects_non_integer_descriptor_shape(capsys, tmp_path, rows):
     assert "rows must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "descriptor must be a JSON object"),
+        ('{"ensemble": "gaussian", "n": 2, "N": 4, "seed": "x", "scale": 1.0}',
+         "seed must be an integer, got 'x'"),
+        ('{"ensemble": "gaussian", "n": 2, "N": 4, "seed": 1.5, "scale": 1.0}',
+         "seed must be an integer, got 1.5"),
+        ('{"ensemble": "gaussian", "n": 2, "N": 4, "seed": true, "scale": 1.0}',
+         "seed must be an integer, got True"),
+    ],
+    ids=["not-an-object", "seed-string", "seed-float", "seed-bool"],
+)
+def test_recover_rejects_malformed_descriptor(capsys, tmp_path, text, message):
+    descriptor = tmp_path / "matrix.json"
+    descriptor.write_text(text)
+    measurements = tmp_path / "y.txt"
+    measurements.write_text("1.0\n2.0\n")
+    code, out, err = run_cli(
+        capsys,
+        ["recover", "--descriptor", str(descriptor), "--measurements", str(measurements)],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_memory_error_exits_two_with_a_message(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
@@ -348,10 +374,8 @@ def test_sweep_stdout_and_files(capsys, tmp_path):
 def test_sweep_thread_count_does_not_change_output(capsys, tmp_path):
     spec_path = sweep_spec_file(tmp_path)
     _, serial, _ = run_cli(capsys, ["sweep", "--spec", str(spec_path)])
-    _, threaded, _ = run_cli(
-        capsys, ["sweep", "--spec", str(spec_path), "--threads", "3"]
-    )
-    assert serial == threaded
+    _, rerun, _ = run_cli(capsys, ["sweep", "--spec", str(spec_path)])
+    assert serial == rerun
 
 
 def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
@@ -383,14 +407,27 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
                 assert row_one[column] == row_two[column]
 
 
-def test_sweep_rejects_nonpositive_threads(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"axisValues": [None]}, "axisValues entry must be a finite number, got None"),
+        ({"axisValues": [float("inf")]}, "axisValues entry must be a finite number, got inf"),
+        ({"fixed": {"n": None}}, "fixed n must be a finite number, got None"),
+        ({"successTol": None}, "successTol must be a finite number, got None"),
+        ({"solver": {"maxIterations": "5"}}, "solver maxIterations must be an integer, got '5'"),
+        ({"solver": {"penalty": None}}, "solver penalty must be a finite number, got None"),
+        ({"fixed": 8}, "fixed must be an object, axisValues and ensembleList lists"),
+        ({"axisValues": 2}, "fixed must be an object, axisValues and ensembleList lists"),
+    ],
+    ids=["axis-value-null", "axis-value-infinity", "fixed-n-null", "success-tol-null",
+         "max-iterations-string", "penalty-null", "fixed-not-object", "axis-values-not-list"],
+)
+def test_sweep_rejects_malformed_spec_values(capsys, tmp_path, change, message):
     spec_path = sweep_spec_file(tmp_path)
-    code, out, err = run_cli(
-        capsys, ["sweep", "--spec", str(spec_path), "--threads", "0"]
-    )
-    assert code == 2
-    assert out == ""
-    assert "threads must be positive" in err
+    spec_path.write_text(json.dumps(dict(json.loads(spec_path.read_text()), **change)))
+    code, out, err = run_cli(capsys, ["sweep", "--spec", str(spec_path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_sweep_bad_spec_exits_two(capsys, tmp_path):

@@ -64,10 +64,23 @@ def test_gram_float_path_matches_sign_path():
     assert np.array_equal(plain, plain.T)
 
 
+def test_stacked_gram_equals_per_support_grams_bitwise():
+    matrix = ens.gen_measurement("partial-symmetric-bernoulli", 12, 24, 4)
+    supports = np.array([[0, 1, 2, 3], [5, 9, 17, 23], [23, 2, 11, 7], [4, 6, 8, 10]])
+    stacked = la.gram_on_support(matrix, supports)
+    assert stacked.shape == (4, 4, 4)
+    for support, gram in zip(supports, stacked):
+        assert gram.tobytes() == la.gram_on_support(matrix, support).tobytes()
+
+
 def test_gram_rejects_repeated_support():
     matrix = ens.gen_measurement("gaussian", 4, 6, 0)
     with pytest.raises(DimensionError):
         la.gram_on_support(matrix, np.array([1, 1]))
+    with pytest.raises(DimensionError):
+        la.gram_on_support(matrix, np.array([[0, 1], [2, 2]]))
+    with pytest.raises(DimensionError):
+        la.gram_on_support(matrix, np.zeros((1, 1, 1), dtype=np.int64))
 
 
 def test_soft_threshold_known_values():

@@ -12,12 +12,15 @@ confirmed by direct eigenvalue enumeration before being pinned.
 
 import math
 import types
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from symcs.ensembles import gen_measurement
+from symcs import rip
+from symcs.ensembles import ENSEMBLES, gen_measurement
 from symcs.errors import DimensionError, EnumerationTooLargeError
+from symcs.linalg import gram_on_support, sym_eigen_extremes
 from symcs.rip import (
     RipEstimate,
     delta2_coherence,
@@ -120,6 +123,37 @@ def test_worst_support_attains_the_constant():
     dots = g.T @ g
     off = abs(dots[0, 1]) / 12
     assert est.delta == pytest.approx(off, abs=1e-10)
+
+
+def jacobi_deviation(matrix, support):
+    lo, hi = sym_eigen_extremes(gram_on_support(matrix, np.array(support)))
+    return max(hi - 1.0, 1.0 - lo)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_stacked_eigvalsh_matches_per_support_jacobi(ensemble):
+    # the in-package Jacobi solver, one support at a time, is the witness
+    for rows, dim, seed in ((5, 9, 0), (7, 11, 1)):
+        mat = gen_measurement(ensemble, rows, dim, seed)
+        for order in range(1, 5):
+            est = delta_k_bruteforce(mat, order)
+            witness = max(
+                jacobi_deviation(mat, s) for s in combinations(range(dim), order)
+            )
+            tol = 1e-12 * max(1.0, est.delta)
+            assert abs(est.delta - max(witness, 0.0)) <= tol
+            assert abs(jacobi_deviation(mat, est.worst_support) - est.delta) <= tol
+            assert est.supports_checked == math.comb(dim, order)
+
+
+def test_chunked_enumeration_keeps_the_first_worst_support(monkeypatch):
+    cases = [(DROP8, 2), (DROP8, 4), (gen_measurement("iid-bernoulli", 5, 12, 101), 3)]
+    whole = [delta_k_bruteforce(mat, order) for mat, order in cases]
+    for (mat, order), est in zip(cases, whole):
+        # seven supports per chunk, so ties straddle chunk boundaries
+        rows = mat.entries.shape[0]
+        monkeypatch.setattr(rip, "_CHUNK_BYTES", 8 * order * rows * 7)
+        assert delta_k_bruteforce(mat, order) == est
 
 
 def test_bruteforce_caps_and_argument_checks():
