@@ -46,6 +46,10 @@ EXACT_SNR: Final = "exact"
 
 SIGNAL_KINDS = ("pm1", "gaussian")
 
+# trials * len(axisValues) * len(ensembleList); the largest sweep in the
+# tests and the benchmark runs 600
+MAX_SPEC_TRIALS = 100_000
+
 _CSV_HEADER = "ensemble,axis,axis_value,trials,successes,success_rate,mean_rel_err,mean_iterations"
 
 _SOLVER_KEYS = {
@@ -58,6 +62,7 @@ _SOLVER_KEYS = {
 
 __all__ = [
     "EXACT_SNR",
+    "MAX_SPEC_TRIALS",
     "SIGNAL_KINDS",
     "ExperimentSpec",
     "SparseSignal",
@@ -245,6 +250,11 @@ class ExperimentSpec:
                 raise DimensionError(f"unknown ensemble {name!r}")
         if len(set(self.ensembles)) != len(self.ensembles):
             raise DimensionError("ensembleList has duplicates")
+        total = self.trials * len(self.axis_values) * len(self.ensembles)
+        if total > MAX_SPEC_TRIALS:
+            raise DimensionError(
+                f"spec asks for {total} trials; the cap is {MAX_SPEC_TRIALS}"
+            )
         if not self.success_tol > 0.0:
             raise ValueError(f"successTol must be positive, got {self.success_tol}")
         required = {"n": {"k"}, "k": {"n"}, "sigma": {"n", "k"}}[self.axis]

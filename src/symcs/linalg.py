@@ -49,12 +49,22 @@ def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
     return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Elementwise shrink toward zero: sign(v) * max(|v| - threshold, 0)."""
+def soft_threshold(
+    values: np.ndarray, threshold: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Elementwise shrink toward zero: sign(v) * max(|v| - threshold, 0).
+
+    ``out``, a float64 array of the shape of ``values`` (``values`` itself
+    is allowed), receives the result; the arithmetic is the same either way.
+    """
     if threshold < 0:
         raise DimensionError(f"threshold must be nonnegative, got {threshold}")
     values = np.asarray(values, dtype=np.float64)
-    return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
+    sign = np.sign(values)
+    out = np.abs(values, out=out)
+    np.subtract(out, threshold, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(sign, out, out=out)
 
 
 def sym_eigen_extremes(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50):

@@ -6,6 +6,15 @@ per solve (``shift`` is 0 for basis pursuit and 1 for ``bpdn``) and the row
 basis ``W = L^{-1} A`` is cached, so the projection of basis pursuit and the
 Woodbury x-update of ``bpdn`` are both ``v - W^T (W v)``.
 
+Each solve preallocates its work vectors and every step of an iteration
+writes into them with ``out=`` (only the shrink makes a temporary, for the
+signs); ``z`` and ``w`` swap with their next values instead of being
+copied, and the final ``x`` is returned as is.  The dual residual is
+computed only when the primal residual passes its tolerance (and on the last
+iteration, for the report), since the stopping test reads it only then.
+Iterates, iteration counts and both reported residuals are bit-identical to
+the plain expression form of the same updates.
+
 ``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
 brute-force enumeration (LP vertices, supports) at toy sizes; they share no
 iterate logic with the ADMM path, so the two routes can be compared as
@@ -107,7 +116,9 @@ def _row_basis(a: np.ndarray, shift: float):
     """
     gram = a @ a.T
     gram[np.diag_indices_from(gram)] += shift
-    lower = cholesky(gram, lower=True)
+    # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
+    # the Fortran order LAPACK factors in place, with no copy of the Gram
+    lower = cholesky(gram.T, lower=True, overwrite_a=True)
     return lower, solve_triangular(lower, a, lower=True)
 
 
@@ -135,29 +146,38 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             dual_residual=math.inf,
         )
     particular = basis.T @ solve_triangular(lower, y, lower=True)
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return v - basis.T @ (basis @ v) + particular
-
     shrink = 1.0 / cfg.penalty
+    x = np.empty(width)
     z = np.zeros(width)
+    z_new = np.empty(width)
     u = np.zeros(width)
-    x = np.zeros(width)
+    diff = np.empty(width)
+    coef = np.empty(n)
     status = "max-iterations"
     iterations = cfg.max_iterations
     primal = math.inf
     dual = math.inf
     for it in range(1, cfg.max_iterations + 1):
-        x = project(z - u)
-        z_old = z
-        z = soft_threshold(x + u, shrink)
-        u = u + x - z
-        primal = float(np.linalg.norm(x - z))
-        dual = cfg.penalty * float(np.linalg.norm(z - z_old))
-        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
-            status = "converged"
-            iterations = it
-            break
+        # x = v - W^T (W v) + particular with v = z - u: the projection
+        np.subtract(z, u, out=diff)
+        np.dot(basis, diff, out=coef)
+        np.dot(basis.T, coef, out=x)
+        np.subtract(diff, x, out=x)
+        x += particular
+        # u + x is the shrink input and, less the new z, the next multiplier
+        u += x
+        soft_threshold(u, shrink, out=z_new)
+        u -= z_new
+        np.subtract(x, z_new, out=diff)
+        primal = math.sqrt(diff.dot(diff))
+        if primal <= cfg.primal_tol or it == cfg.max_iterations:
+            np.subtract(z_new, z, out=diff)
+            dual = cfg.penalty * math.sqrt(diff.dot(diff))
+            if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+                status = "converged"
+                iterations = it
+                break
+        z, z_new = z_new, z
     if not verify_solution(a, x, y, 0.0, cfg.feas_tol):
         status = "infeasible-detected"
     return SolverResult(
@@ -198,47 +218,63 @@ def bpdn(
             dual_residual=0.0,
         )
     _, basis = _row_basis(a, 1.0)
-
-    def solve_normal(b: np.ndarray) -> np.ndarray:
-        return b - basis.T @ (basis @ b)
-
-    def ball(v: np.ndarray) -> np.ndarray:
-        gap = v - y
-        norm = float(np.linalg.norm(gap))
-        if norm <= epsilon:
-            return v
-        return y + gap * (epsilon / norm)
-
     shrink = 1.0 / cfg.penalty
+    x = np.empty(width)
     z = np.zeros(width)
-    w = np.zeros(n)
+    z_new = np.empty(width)
     u1 = np.zeros(width)
+    rhs = np.empty(width)
+    diff = np.empty(width)
+    ax = np.empty(n)
+    w = np.zeros(n)
+    w_new = np.empty(n)
     u2 = np.zeros(n)
-    x = np.zeros(width)
+    gap = np.empty(n)
+    coef = np.empty(n)
     status = "max-iterations"
     iterations = cfg.max_iterations
     primal = math.inf
     dual = math.inf
     for it in range(1, cfg.max_iterations + 1):
-        x = solve_normal((z - u1) + a.T @ (w - u2))
-        ax = a @ x
-        z_old = z
-        w_old = w
-        z = soft_threshold(x + u1, shrink)
-        w = ball(ax + u2)
-        u1 = u1 + x - z
-        u2 = u2 + ax - w
-        primal = math.hypot(
-            float(np.linalg.norm(x - z)), float(np.linalg.norm(ax - w))
-        )
-        dual = cfg.penalty * math.hypot(
-            float(np.linalg.norm(z - z_old)),
-            float(np.linalg.norm(a.T @ (w - w_old))),
-        )
-        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
-            status = "converged"
-            iterations = it
-            break
+        # x = b - W^T (W b) with b = (z - u1) + A^T (w - u2): the Woodbury update
+        np.subtract(w, u2, out=gap)
+        np.dot(a.T, gap, out=rhs)
+        np.subtract(z, u1, out=diff)
+        np.add(diff, rhs, out=rhs)
+        np.dot(basis, rhs, out=coef)
+        np.dot(basis.T, coef, out=x)
+        np.subtract(rhs, x, out=x)
+        np.dot(a, x, out=ax)
+        # x + u1 and Ax + u2 are the prox inputs and, less z and w, the multipliers
+        u1 += x
+        soft_threshold(u1, shrink, out=z_new)
+        u1 -= z_new
+        u2 += ax
+        # w is Ax + u2 projected onto the epsilon-ball around y
+        np.subtract(u2, y, out=gap)
+        norm = math.sqrt(gap.dot(gap))
+        if norm <= epsilon:
+            np.copyto(w_new, u2)
+        else:
+            np.multiply(gap, epsilon / norm, out=w_new)
+            w_new += y
+        u2 -= w_new
+        np.subtract(x, z_new, out=diff)
+        np.subtract(ax, w_new, out=gap)
+        primal = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(gap.dot(gap)))
+        if primal <= cfg.primal_tol or it == cfg.max_iterations:
+            np.subtract(z_new, z, out=diff)
+            np.subtract(w_new, w, out=gap)
+            np.dot(a.T, gap, out=rhs)
+            dual = cfg.penalty * math.hypot(
+                math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs))
+            )
+            if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+                status = "converged"
+                iterations = it
+                break
+        z, z_new = z_new, z
+        w, w_new = w_new, w
     if not verify_solution(a, x, y, epsilon, cfg.feas_tol):
         status = "infeasible-detected"
     return SolverResult(

@@ -430,6 +430,20 @@ def test_sweep_rejects_malformed_spec_values(capsys, tmp_path, change, message):
     assert err == f"error: {message}\n"
 
 
+def test_sweep_rejects_a_spec_over_the_trial_cap(capsys, tmp_path):
+    spec_path = sweep_spec_file(tmp_path)
+    data = json.loads(spec_path.read_text())
+    cells = len(data["axisValues"]) * len(data["ensembleList"])
+    data["trials"] = experiments.MAX_SPEC_TRIALS // cells + 1
+    spec_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["sweep", "--spec", str(spec_path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: spec asks for {data['trials'] * cells} trials; "
+        f"the cap is {experiments.MAX_SPEC_TRIALS}\n"
+    )
+
+
 def test_sweep_bad_spec_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"N": 16}))

@@ -10,6 +10,7 @@ from symcs.ensembles import ENSEMBLES, gen_measurement
 from symcs.errors import DimensionError, UndefinedMetricError
 from symcs.experiments import (
     EXACT_SNR,
+    MAX_SPEC_TRIALS,
     ExperimentSpec,
     SweepResult,
     SweepRow,
@@ -158,6 +159,10 @@ def test_spec_validation_values():
         small_spec(ensembles=())
     with pytest.raises(DimensionError):
         small_spec(ensembles=("gaussian", "gaussian"))
+    # two axis values and two ensembles: four cells
+    assert small_spec(trials=MAX_SPEC_TRIALS // 4).trials == MAX_SPEC_TRIALS // 4
+    with pytest.raises(DimensionError, match="the cap is"):
+        small_spec(trials=MAX_SPEC_TRIALS // 4 + 1)
     with pytest.raises(DimensionError):
         small_spec(ensembles=("gaussian", "nonsense"))
     with pytest.raises(DimensionError):

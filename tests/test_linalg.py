@@ -101,6 +101,23 @@ def test_soft_threshold_properties(values, threshold):
     assert np.all(out * v >= 0.0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+def test_soft_threshold_out_keeps_the_arithmetic(threshold):
+    values = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, -1e-300, 1e-300, 0.5, 1.0, 3.25])
+    expected = (np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)).tobytes()
+    assert la.soft_threshold(values, threshold).tobytes() == expected
+    out = np.full_like(values, np.nan)
+    assert la.soft_threshold(values, threshold, out=out) is out
+    assert out.tobytes() == expected
+    same = values.copy()
+    assert la.soft_threshold(same, threshold, out=same) is same
+    assert same.tobytes() == expected
+    # -0.0 in gives +0.0 out; a negative entry shrunk to zero gives -0.0
+    zeros = np.array([-0.0, 0.0, -0.25])
+    assert la.soft_threshold(zeros, 0.5, out=zeros).tobytes() == np.array(
+        [0.0, 0.0, -0.0]).tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32))
 def test_solve_spd_matches_library_solver(dim, seed):

@@ -107,6 +107,27 @@ def test_coherence_requires_sign_ensemble():
         delta2_coherence(one_col)
 
 
+def pair_deviation(matrix, pair):
+    # eigenvalues m +- r of the 2x2 Gram [[p, g], [g, q]] in closed form
+    (p, g), (_, q) = gram_on_support(matrix, np.array(pair))
+    m, r = (p + q) / 2.0, math.hypot((p - q) / 2.0, g)
+    return max(m + r - 1.0, 1.0 - (m - r))
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_order_two_scan_is_within_ulps_of_the_exact_pair_value(ensemble):
+    # the reference is the exact coherence on sign ensembles, else the worst
+    # pair by closed-form 2x2 eigenvalues; LAPACK's may be an ulp or two off
+    for rows, dim, seed in ((12, 24, 0), (16, 30, 3), (9, 20, 7)):
+        mat = gen_measurement(ensemble, rows, dim, seed)
+        if getattr(mat, "signs", None) is not None:
+            exact = delta2_coherence(mat)
+        else:
+            exact = max(pair_deviation(mat, p) for p in combinations(range(dim), 2))
+        delta = delta_k_bruteforce(mat, 2).delta
+        assert abs(delta - exact) <= 4 * np.spacing(max(1.0, exact))
+
+
 def test_constants_monotone_in_order():
     for seed in (0, 1):
         mat = gen_measurement("partial-symmetric-bernoulli", 8, 10, seed)

@@ -7,12 +7,16 @@ asserted at the bit level because every ADMM update is odd in IEEE
 arithmetic.
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
-from symcs.ensembles import gen_measurement
+from symcs.ensembles import ENSEMBLES, gen_measurement
 from symcs.errors import (
     DimensionError,
     EnumerationTooLargeError,
@@ -23,6 +27,7 @@ from symcs.rng import Stream, derive_seed
 from symcs.solver import (
     SolverConfig,
     SolverResult,
+    _row_basis,
     basis_pursuit,
     bpdn,
     l0_oracle_small,
@@ -263,3 +268,135 @@ def test_basis_pursuit_never_beats_nor_misses_the_planted_objective(seed):
     assert verify_solution(mat, res.solution, y, feas_tol=1e-5)
     # the planted vector is feasible, so the minimum cannot exceed its norm
     assert res.objective <= np.abs(truth).sum() + 1e-5
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_row_basis_factors_the_gram_in_place_bitwise(ensemble):
+    for rows, width in ((1, 1), (5, 5), (37, 64), (100, 256)):
+        a = gen_measurement(ensemble, rows, width, 3).entries
+        for shift in (0.0, 1.0):
+            gram = a @ a.T
+            assert gram.tobytes() == gram.T.tobytes()
+            gram[np.diag_indices_from(gram)] += shift
+            try:
+                lower = cholesky(gram, lower=True)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    _row_basis(a, shift)
+                continue
+            got_lower, got_basis = _row_basis(a, shift)
+            assert got_lower.tobytes() == lower.tobytes()
+            assert got_basis.tobytes() == solve_triangular(lower, a, lower=True).tobytes()
+
+
+def expression_basis_pursuit(a, y, cfg):
+    """The ADMM loop of ``basis_pursuit`` written as plain array expressions."""
+    lower = cholesky(a @ a.T, lower=True)
+    basis = solve_triangular(lower, a, lower=True)
+    particular = basis.T @ solve_triangular(lower, y, lower=True)
+    z = u = x = np.zeros(a.shape[1])
+    status, iterations, primal, dual = "max-iterations", cfg.max_iterations, math.inf, math.inf
+    for it in range(1, cfg.max_iterations + 1):
+        v = z - u
+        x = v - basis.T @ (basis @ v) + particular
+        z_old = z
+        z = np.sign(x + u) * np.maximum(np.abs(x + u) - 1.0 / cfg.penalty, 0.0)
+        u = u + x - z
+        primal = float(np.linalg.norm(x - z))
+        dual = cfg.penalty * float(np.linalg.norm(z - z_old))
+        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+            status, iterations = "converged", it
+            break
+    return x, iterations, status, primal, dual
+
+
+def expression_bpdn(a, y, epsilon, cfg):
+    """The ADMM loop of ``bpdn`` written as plain array expressions."""
+    n, width = a.shape
+    lower = cholesky(np.eye(n) + a @ a.T, lower=True)
+    basis = solve_triangular(lower, a, lower=True)
+    z = u1 = x = np.zeros(width)
+    w = u2 = np.zeros(n)
+    status, iterations, primal, dual = "max-iterations", cfg.max_iterations, math.inf, math.inf
+    for it in range(1, cfg.max_iterations + 1):
+        b = (z - u1) + a.T @ (w - u2)
+        x = b - basis.T @ (basis @ b)
+        ax = a @ x
+        z_old, w_old = z, w
+        z = np.sign(x + u1) * np.maximum(np.abs(x + u1) - 1.0 / cfg.penalty, 0.0)
+        gap = ax + u2 - y
+        norm = float(np.linalg.norm(gap))
+        w = ax + u2 if norm <= epsilon else y + gap * (epsilon / norm)
+        u1 = u1 + x - z
+        u2 = u2 + ax - w
+        primal = math.hypot(float(np.linalg.norm(x - z)), float(np.linalg.norm(ax - w)))
+        dual = cfg.penalty * math.hypot(
+            float(np.linalg.norm(z - z_old)), float(np.linalg.norm(a.T @ (w - w_old)))
+        )
+        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+            status, iterations = "converged", it
+            break
+    return x, iterations, status, primal, dual
+
+
+def frozen_case(name):
+    mat, _, y = planted_instance(30, 64, 4, 5)
+    eps = 0.5 * float(np.linalg.norm(y))
+    # penalty 10 with a wide ball: some iterates land inside the ball
+    gauss = gen_measurement("gaussian", 6, 6, 5)
+    y_gauss = Stream(105).normals(6)
+    cases = {
+        "bp-converged": (mat, y, None, SolverConfig()),
+        "bp-capped": (mat, y, None, SolverConfig(max_iterations=20)),
+        "bpdn-converged": (mat, y, eps, SolverConfig()),
+        "bpdn-capped": (mat, y, eps, SolverConfig(max_iterations=25)),
+        "bpdn-ball-inactive": (
+            gauss, y_gauss, 0.5 * float(np.linalg.norm(y_gauss)), SolverConfig(penalty=10.0)
+        ),
+    }
+    return cases[name]
+
+
+def fingerprint(solution, iterations, status, primal, dual):
+    return (hashlib.sha256(solution.tobytes()).hexdigest(), iterations, status,
+            repr(primal), repr(dual))
+
+
+# sha256 of solution.tobytes(), iterations, status, repr of both residuals,
+# from the loops before they moved to preallocated buffers (OpenBLAS 0.3.31,
+# x86-64 with AVX-512, one thread)
+FROZEN_RESULTS = {
+    "bp-converged": (
+        "96541de96e012b081bd68ec8372ce253436ba3e4877fd8a958835c31a3488666",
+        76, "converged", "9.981543472465729e-08", "6.942012271288359e-08"),
+    "bp-capped": (
+        "9a0b7c44852c84ffed9be5bb661baab0475f6a6fbfab2e55a323dc378c6e7fff",
+        20, "max-iterations", "0.006287399517998493", "0.023765018000436792"),
+    "bpdn-converged": (
+        "b704d83308134535535ebfd1e42344d624a8562258729248ae63aa3e949c06da",
+        166, "converged", "9.568811616013865e-08", "3.868373889706874e-08"),
+    "bpdn-capped": (
+        "2c40b3845695c965b8b96120112a7cb91a98c652cebddd3313a20705a57d3421",
+        25, "max-iterations", "0.02358392057835549", "0.024109475969638416"),
+    "bpdn-ball-inactive": (
+        "52c78598d9f0bb425f9fafcc943fcd9c9e50a9147192a67f08d605f9b21c74b8",
+        377, "converged", "6.755024528444925e-08", "9.774743690045094e-08"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RESULTS))
+def test_admm_results_are_frozen(name):
+    mat, y, epsilon, cfg = frozen_case(name)
+    if epsilon is None:
+        res = basis_pursuit(mat, y, cfg)
+        expected = expression_basis_pursuit(mat.entries, y, cfg)
+    else:
+        res = bpdn(mat, y, epsilon, cfg)
+        expected = expression_bpdn(mat.entries, y, epsilon, cfg)
+    got = fingerprint(res.solution, res.iterations, res.status,
+                      res.primal_residual, res.dual_residual)
+    # bit for bit the arithmetic of the plain expressions, on any BLAS
+    assert got == fingerprint(*expected)
+    if fingerprint(*expected) != FROZEN_RESULTS[name]:
+        pytest.skip("this BLAS rounds differently from the build the digests come from")
+    assert got == FROZEN_RESULTS[name]
