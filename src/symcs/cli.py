@@ -7,12 +7,17 @@ byte-deterministic for fixed inputs at a fixed BLAS thread count; progress
 and status notes go to stderr.
 
 Seeds resolve in order: an explicit ``--seed`` flag, then the ``CS_SEED``
-environment variable, then 0.
+environment variable, then 0.  ``CS_SEED`` is read on each call.
+
+``main`` builds its argument parser once per process, on its first call, and
+reuses it: in-process callers such as scripts, tests and benchmarks pay for the
+parser tree once, not per call, and importing the module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -53,6 +58,7 @@ def _add_seed(parser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="symcs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -127,10 +127,15 @@ def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarra
     """
     _check_shape(rows, dimension)
     draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
-    signs = np.zeros((rows, dimension), dtype=np.int8)
-    signs[np.triu(np.ones((rows, dimension), dtype=bool))] = draws
-    il = np.tril_indices(rows, k=-1)
-    signs[il] = signs[:, :rows].T[il]
+    signs = np.empty((rows, dimension), dtype=np.int8)
+    start = 0
+    for i in range(rows):
+        stop = start + dimension - i
+        signs[i, i:] = draws[start:stop]
+        # column i of the rows above is already filled: it lies in their
+        # upper parts
+        signs[i, :i] = signs[:i, i]
+        start = stop
     return signs
 
 

@@ -17,9 +17,9 @@ be produced in any language:
   ``b = (u' >> 11) * 2**-53``, the pair is ``r*cos(2*pi*b), r*sin(2*pi*b)``
   where ``r = sqrt(-2*ln(a))``; a request for an odd count consumes a full
   pair and discards the trailing variate
-* bounded integers use unbiased rejection: draws are taken in stream order
-  and accepted when ``u < 2**64 - (2**64 mod bound)``; the value is
-  ``u mod bound``
+* bounded integers, for ``1 <= bound <= 2**64``, use unbiased rejection:
+  draws are taken in stream order and accepted when
+  ``u < 2**64 - (2**64 mod bound)``; the value is ``u mod bound``
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Stream:
     def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
-        self._seed = np.uint64(int(seed) & MASK64)
+        self._seed = int(seed) & MASK64
         self._pos = 0
 
     @property
@@ -110,7 +110,7 @@ class Stream:
         z = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
         self._pos += count
         z *= np.uint64(GAMMA)
-        z += self._seed
+        z += np.uint64(self._seed)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MULT1)
         z ^= z >> np.uint64(27)
@@ -146,12 +146,20 @@ class Stream:
         return out[:count]
 
     def below(self, bound: int) -> int:
-        """One unbiased integer in [0, bound) by rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """One unbiased integer in [0, bound) by rejection, for
+        ``1 <= bound <= 2**64``.
+
+        Each draw, rejected ones included, advances the position by one, as
+        ``raw(1)`` would; the arithmetic is on Python ints, since a numpy
+        round trip per draw costs far more than ``mix64``.
+        """
+        if not 0 < bound <= 1 << 64:
+            # above 2**64 the limit below is 0 and no draw would be accepted
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
-            u = int(self.raw(1)[0])
+            self._pos += 1
+            u = mix64(self._seed + self._pos * GAMMA)
             if u < limit:
                 return u % bound
 

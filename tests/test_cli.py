@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import symcs
-from symcs import concentration, ensembles, experiments, imageio, rip, solver
+from symcs import cli, concentration, ensembles, experiments, imageio, rip, solver
 from symcs.cli import main
 
 
@@ -484,3 +484,43 @@ def test_image_demo_rejects_malformed_input(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_reused_parser_keeps_calls_independent(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process; no call may leave state in it
+    # that changes the next
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-lemma21", "-N", "3", "--alpha", "sideways"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    lemma = ["check-lemma21", "-N", "3", "-n", "2", "--alpha", "random", "--seed", "4"]
+    code, out, _ = run_cli(capsys, lemma)
+    src = str(Path(symcs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "symcs", *lemma],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+    scan = ["rip-scan", "-n", "6", "-N", "12", "--order", "2"]
+    code, seeded, _ = run_cli(capsys, scan + ["--seed", "5"])
+    assert code == 0
+    monkeypatch.setenv("CS_SEED", "7")
+    code, from_env, _ = run_cli(capsys, scan)
+    assert code == 0
+    assert from_env == run_cli(capsys, scan + ["--seed", "7"])[1]
+    assert from_env != seeded
+
+    missing = tmp_path / "missing.pgm"
+    code, _, err = run_cli(capsys, ["image-demo", "--input", str(missing), "-n", "4"])
+    assert code == 2 and "error:" in err
+    code, out, _ = run_cli(
+        capsys, ["image-demo", "--fixture", "sparse32", "-n", "600", "--seed", "1"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["width"], payload["height"], payload["exactImage"]) == (32, 32, True)
+    assert cli._build_parser() is parser

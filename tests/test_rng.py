@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcs import rng
 from symcs.rng import GAMMA, MASK64, Stream, derive_seed, mix64, rotl64
 
 # Sequential splitmix64 with the standard increment produces output i as
@@ -69,6 +70,42 @@ def test_frozen_bounded_and_subset():
     s = Stream(42)
     assert [s.below(10) for _ in range(6)] == [3, 1, 8, 4, 0, 2]
     assert Stream(42).sample_without_replacement(20, 5).tolist() == [2, 6, 8, 13, 16]
+
+
+# (seed, bound) -> (value, position) after each of six calls.  Bound
+# 2**63 + 1 accepts only draws below 2**63 + 1 and 3 * 2**62 three in four,
+# so both walk the rejection branch; 2**64 accepts every draw.  Computed with
+# the numpy-pipeline ``below`` that drew ``raw(1)`` per step.
+BELOW_REJECTION_VECTORS = {
+    (42, 2**63 + 1): [
+        (2949826092126892291, 2), (5139283748462763858, 3),
+        (6349198060258255764, 4), (701532786141963250, 5),
+        (4028864712777624925, 7), (6270620877612482005, 9),
+    ],
+    (42, 3 * 2**62): [
+        (13679457532755275413, 1), (2949826092126892291, 2),
+        (5139283748462763858, 3), (6349198060258255764, 4),
+        (701532786141963250, 5), (4028864712777624925, 7),
+    ],
+    (2024, 2**64): [
+        (11487996472437173461, 1), (1793612131670815442, 2),
+        (5507758030568793471, 3), (2143266886397966425, 4),
+        (15321458573535757178, 5), (10190374291703683819, 6),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed, bound", sorted(BELOW_REJECTION_VECTORS))
+def test_frozen_below_rejection_path(seed, bound):
+    s = Stream(seed)
+    got = []
+    for _ in range(6):
+        value = s.below(bound)
+        got.append((value, s.position))
+    assert got == BELOW_REJECTION_VECTORS[seed, bound]
+    # the stream carries on from the last draw, rejected ones included
+    position = s.position
+    assert int(s.raw(1)[0]) == mix64(seed + (position + 1) * GAMMA)
 
 
 def test_derive_seed_frozen_vectors():
@@ -166,6 +203,23 @@ def test_below_covers_small_range_uniformly_enough():
 def test_below_rejects_nonpositive_bound():
     with pytest.raises(ValueError):
         Stream(0).below(0)
+
+
+@pytest.mark.parametrize("bound", [-1, 2**64 + 1, 2**64 + 5, 2**70])
+def test_below_rejects_out_of_range_bound_without_drawing(bound, monkeypatch):
+    # above 2**64 no draw could be accepted, so a draw would loop for ever:
+    # any draw fails the test instead
+    s = Stream(0)
+    s.raw(3)
+
+    def no_draw(*args):
+        raise AssertionError("below drew for an out-of-range bound")
+
+    monkeypatch.setattr(rng, "mix64", no_draw)
+    monkeypatch.setattr(Stream, "raw", no_draw)
+    with pytest.raises(ValueError, match="bound"):
+        s.below(bound)
+    assert s.position == 3
 
 
 def test_raw_rejects_negative_count():
