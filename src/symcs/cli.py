@@ -85,7 +85,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-n", "--rows", type=int, required=True)
     p.add_argument("-N", "--dimension", type=int, required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--max-supports", type=int, default=1_000_000)
     _add_seed(p)
 
     p = sub.add_parser(
@@ -160,7 +159,7 @@ def _cmd_rip_scan(args) -> int:
     matrix = ensembles.gen_measurement(
         args.ensemble, args.rows, args.dimension, _resolve_seed(args.seed)
     )
-    estimate = rip.delta_k_bruteforce(matrix, args.order, args.max_supports)
+    estimate = rip.delta_k_bruteforce(matrix, args.order)
     print(
         json.dumps(
             {

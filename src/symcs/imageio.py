@@ -2,15 +2,15 @@
 
 The parser accepts the two portable graymap forms (ASCII ``P2`` and raw
 ``P5``) strictly: every malformed input raises PgmParseError carrying the
-byte offset of the offending content.  Writing is canonical: maxval is
-always emitted as 255, ``P2`` puts one pixel row per line with single
+byte offset of the offending content.  The writer emits ``P2`` only, in one
+canonical form: maxval is always 255, each pixel row is one line with single
 spaces, and the 1x1 zero image is exactly ``P2\\n1 1\\n255\\n0\\n``.  Levels
 from files with a smaller maxval are kept as stored, not resampled.
 
 Recovery flattens an image row-major, measures it with a chosen ensemble,
-and reconstructs by equality-constrained l1 minimization.  Error metrics
-are computed on the unclamped real-valued estimate; only the output image
-rounds and clamps to byte range.
+and reconstructs by equality-constrained l1 minimization with the solver's
+default iteration cap.  Error metrics are computed on the unclamped
+real-valued estimate; only the output image rounds and clamps to byte range.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .ensembles import gen_measurement
 from .errors import DimensionError, PgmParseError
 from .experiments import mse, rel_err, snr_db
 from .rng import Stream
-from .solver import SolverConfig, basis_pursuit
+from .solver import basis_pursuit
 
 __all__ = [
     "GrayImage",
@@ -162,17 +162,14 @@ def read_pgm(path) -> GrayImage:
     return parse_pgm(Path(path).read_bytes())
 
 
-def pgm_bytes(image: GrayImage, raw: bool = False) -> bytes:
-    """Canonical serialization; ``raw`` selects P5, otherwise P2."""
-    header = f"{image.width} {image.height}\n255\n"
-    if raw:
-        return b"P5\n" + header.encode() + image.pixels.tobytes()
+def pgm_bytes(image: GrayImage) -> bytes:
+    """Canonical ``P2`` serialization."""
     rows = "\n".join(" ".join(str(int(v)) for v in row) for row in image.pixels)
-    return ("P2\n" + header + rows + "\n").encode()
+    return f"P2\n{image.width} {image.height}\n255\n{rows}\n".encode()
 
 
-def write_pgm(image: GrayImage, path, raw: bool = False) -> None:
-    Path(path).write_bytes(pgm_bytes(image, raw=raw))
+def write_pgm(image: GrayImage, path) -> None:
+    Path(path).write_bytes(pgm_bytes(image))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,13 +199,12 @@ def image_recover(
     rows: int,
     seed: int,
     ensemble: str = "partial-symmetric-bernoulli",
-    config: SolverConfig | None = None,
 ) -> ImageRecovery:
     """Measure a flattened image with ``rows`` projections and reconstruct."""
     source = image.pixels.astype(np.float64).reshape(-1)
     matrix = gen_measurement(ensemble, rows, source.size, seed)
     y = matrix.entries @ source
-    result = basis_pursuit(matrix, y, config)
+    result = basis_pursuit(matrix, y)
     estimate = result.solution
     shaped = estimate.reshape(image.pixels.shape)
     clamped = np.clip(np.rint(shaped), 0, 255).astype(np.uint8)

@@ -21,6 +21,7 @@ from .linalg import gram_on_support
 from .linalg import sym_eigen_extremes  # noqa: F401  (the benchmark's trace hook wraps this name)
 
 __all__ = [
+    "MAX_SUPPORTS",
     "RipEstimate",
     "delta2_coherence",
     "delta_k_bruteforce",
@@ -29,6 +30,8 @@ __all__ = [
 
 # supports per chunk are sized so their gathered 8-byte columns fit here
 _CHUNK_BYTES = 2**18
+
+MAX_SUPPORTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -41,14 +44,14 @@ class RipEstimate:
     supports_checked: int
 
 
-def delta_k_bruteforce(matrix, order: int, max_supports: int = 1_000_000) -> RipEstimate:
+def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     """Order-k isometry constant over every size-k column support.
 
     Supports are enumerated in lexicographic chunks; each chunk's Gram
     matrices are built in one stacked ``gram_on_support`` call and reduced
     by one stacked ``numpy.linalg.eigvalsh``.  The reported support is the
     first in enumeration order that attains the constant.  Enumeration
-    refuses to start above ``max_supports`` supports.
+    refuses to start above ``MAX_SUPPORTS`` (1,000,000) supports.
     """
     rows, dimension = np.shape(getattr(matrix, "entries", matrix))
     if not 1 <= order <= dimension:
@@ -56,10 +59,10 @@ def delta_k_bruteforce(matrix, order: int, max_supports: int = 1_000_000) -> Rip
             f"need 1 <= order <= dimension, got {order}, {dimension}"
         )
     total = math.comb(dimension, order)
-    if total > max_supports:
+    if total > MAX_SUPPORTS:
         raise EnumerationTooLargeError(
             f"{total} supports of size {order} from {dimension} columns; "
-            f"the cap is {max_supports}"
+            f"the cap is {MAX_SUPPORTS}"
         )
     chunk = max(1, _CHUNK_BYTES // (8 * order * rows))
     supports = combinations(range(dimension), order)

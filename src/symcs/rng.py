@@ -25,6 +25,7 @@ be produced in any language:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -151,8 +152,10 @@ class Stream:
 
         Each draw, rejected ones included, advances the position by one, as
         ``raw(1)`` would; the arithmetic is on Python ints, since a numpy
-        round trip per draw costs far more than ``mix64``.
+        round trip per draw costs far more than ``mix64``.  A numpy integer
+        bound is taken as the Python int it holds.
         """
+        bound = operator.index(bound)
         if not 0 < bound <= 1 << 64:
             # above 2**64 the limit below is 0 and no draw would be accepted
             raise ValueError(f"bound must be in [1, 2**64], got {bound}")
@@ -170,6 +173,7 @@ class Stream:
         selected prefix, so the result is a uniformly random subset in
         canonical ascending order.
         """
+        population, count = operator.index(population), operator.index(count)
         if population < 0 or not 0 <= count <= population:
             raise ValueError(f"need 0 <= count <= population, got {count}, {population}")
         arr = np.arange(population, dtype=np.int64)

@@ -15,6 +15,10 @@ iteration, for the report), since the stopping test reads it only then.
 Iterates, iteration counts and both reported residuals are bit-identical to
 the plain expression form of the same updates.
 
+The ADMM penalty is fixed at 1 and the stopping tolerances at ``PRIMAL_TOL``
+and ``DUAL_TOL`` (1e-7); ``SolverConfig`` holds only the iteration cap.  The
+final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6) relative slack.
+
 ``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
 brute-force enumeration (LP vertices, supports) at toy sizes; they share no
 iterate logic with the ADMM path, so the two routes can be compared as
@@ -38,6 +42,9 @@ from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, S
 from .linalg import soft_threshold, solve_spd
 
 __all__ = [
+    "DUAL_TOL",
+    "FEAS_TOL",
+    "PRIMAL_TOL",
     "SolverConfig",
     "SolverResult",
     "basis_pursuit",
@@ -48,22 +55,20 @@ __all__ = [
 ]
 
 
+PRIMAL_TOL = 1e-7
+DUAL_TOL = 1e-7
+FEAS_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """ADMM controls; the defaults suit the experiment sizes used here."""
+    """The ADMM iteration cap; the default suits the experiment sizes used here."""
 
     max_iterations: int = 5000
-    primal_tol: float = 1e-7
-    dual_tol: float = 1e-7
-    penalty: float = 1.0
-    feas_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        for name in ("primal_tol", "dual_tol", "penalty", "feas_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +77,7 @@ class SolverResult:
 
     ``status`` is ``"converged"``, ``"max-iterations"``, or
     ``"infeasible-detected"`` (the equality projection was unavailable or the
-    returned point violates the constraint beyond ``feas_tol``).
+    returned point violates the constraint beyond ``FEAS_TOL``).
     """
 
     solution: np.ndarray
@@ -146,7 +151,6 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             dual_residual=math.inf,
         )
     particular = basis.T @ solve_triangular(lower, y, lower=True)
-    shrink = 1.0 / cfg.penalty
     x = np.empty(width)
     z = np.zeros(width)
     z_new = np.empty(width)
@@ -166,19 +170,19 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
         x += particular
         # u + x is the shrink input and, less the new z, the next multiplier
         u += x
-        soft_threshold(u, shrink, out=z_new)
+        soft_threshold(u, 1.0, out=z_new)
         u -= z_new
         np.subtract(x, z_new, out=diff)
         primal = math.sqrt(diff.dot(diff))
-        if primal <= cfg.primal_tol or it == cfg.max_iterations:
+        if primal <= PRIMAL_TOL or it == cfg.max_iterations:
             np.subtract(z_new, z, out=diff)
-            dual = cfg.penalty * math.sqrt(diff.dot(diff))
-            if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+            dual = math.sqrt(diff.dot(diff))
+            if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
                 status = "converged"
                 iterations = it
                 break
         z, z_new = z_new, z
-    if not verify_solution(a, x, y, 0.0, cfg.feas_tol):
+    if not verify_solution(a, x, y):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -218,7 +222,6 @@ def bpdn(
             dual_residual=0.0,
         )
     _, basis = _row_basis(a, 1.0)
-    shrink = 1.0 / cfg.penalty
     x = np.empty(width)
     z = np.zeros(width)
     z_new = np.empty(width)
@@ -247,7 +250,7 @@ def bpdn(
         np.dot(a, x, out=ax)
         # x + u1 and Ax + u2 are the prox inputs and, less z and w, the multipliers
         u1 += x
-        soft_threshold(u1, shrink, out=z_new)
+        soft_threshold(u1, 1.0, out=z_new)
         u1 -= z_new
         u2 += ax
         # w is Ax + u2 projected onto the epsilon-ball around y
@@ -262,20 +265,18 @@ def bpdn(
         np.subtract(x, z_new, out=diff)
         np.subtract(ax, w_new, out=gap)
         primal = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(gap.dot(gap)))
-        if primal <= cfg.primal_tol or it == cfg.max_iterations:
+        if primal <= PRIMAL_TOL or it == cfg.max_iterations:
             np.subtract(z_new, z, out=diff)
             np.subtract(w_new, w, out=gap)
             np.dot(a.T, gap, out=rhs)
-            dual = cfg.penalty * math.hypot(
-                math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs))
-            )
-            if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+            dual = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs)))
+            if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
                 status = "converged"
                 iterations = it
                 break
         z, z_new = z_new, z
         w, w_new = w_new, w
-    if not verify_solution(a, x, y, epsilon, cfg.feas_tol):
+    if not verify_solution(a, x, y, epsilon):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -286,11 +287,10 @@ def bpdn(
     )
 
 
-def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0,
-                    feas_tol: float = 1e-6) -> bool:
+def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) -> bool:
     """Whether ``x`` satisfies the (noisy) measurement constraint.
 
-    The test is ``|Ax - y|_2 <= epsilon + feas_tol * max(1, |y|_2)``; both
+    The test is ``|Ax - y|_2 <= epsilon + FEAS_TOL * max(1, |y|_2)``; both
     ADMM solvers apply it to their final iterate.
     """
     a = _entries(matrix)
@@ -299,7 +299,7 @@ def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0,
     if x.shape != (a.shape[1],):
         raise DimensionError(f"x shape {x.shape} does not match {a.shape[1]} columns")
     gap = float(np.linalg.norm(a @ x - y))
-    return gap <= epsilon + feas_tol * max(1.0, float(np.linalg.norm(y)))
+    return gap <= epsilon + FEAS_TOL * max(1.0, float(np.linalg.norm(y)))
 
 
 _ORACLE_BASIS_CAP = 200_000

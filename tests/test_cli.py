@@ -99,13 +99,13 @@ def test_runtime_errors_exit_two(capsys):
     )
     assert code == 2
     assert err.startswith("error:")
-    code, _, err = run_cli(
+    # 7,624,512 supports of size 5 from 64 columns, above rip.MAX_SUPPORTS
+    code, out, err = run_cli(
         capsys,
-        ["rip-scan", "-n", "6", "-N", "20", "--order", "4",
-         "--max-supports", "10", "--seed", "0"],
+        ["rip-scan", "-n", "6", "-N", "64", "--order", "5", "--seed", "0"],
     )
-    assert code == 2
-    assert "error:" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "the cap is 1000000" in err
 
 
 def test_size_over_the_cap_exits_two_before_allocating(capsys, tmp_path):
@@ -410,17 +410,40 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"axisValues": [None]}, "axisValues entry must be a finite number, got None"),
-        ({"axisValues": [float("inf")]}, "axisValues entry must be a finite number, got inf"),
-        ({"fixed": {"n": None}}, "fixed n must be a finite number, got None"),
-        ({"successTol": None}, "successTol must be a finite number, got None"),
+        # row counts and sparsities are integers
+        ({"axisValues": [None]}, "axisValues entry must be an integer, got None"),
+        ({"axisValues": [float("inf")]}, "axisValues entry must be an integer, got inf"),
+        ({"axisValues": [2.7]}, "axisValues entry must be an integer, got 2.7"),
+        ({"axisValues": [2.0]}, "axisValues entry must be an integer, got 2.0"),
+        ({"fixed": {"n": None}}, "fixed n must be an integer, got None"),
+        ({"fixed": {"n": 16.9}}, "fixed n must be an integer, got 16.9"),
+        ({"axis": "n", "axisValues": [8.5], "fixed": {"k": 2}},
+         "axisValues entry must be an integer, got 8.5"),
+        ({"axis": "n", "axisValues": [8], "fixed": {"k": 2.5}},
+         "fixed k must be an integer, got 2.5"),
+        # sigma alone takes fractions, and must still be finite
+        ({"axis": "sigma", "axisValues": [None], "fixed": {"n": 8, "k": 2}},
+         "axisValues entry must be a finite number, got None"),
+        ({"axis": "n", "axisValues": [8], "fixed": {"k": 2, "sigma": float("nan")}},
+         "fixed sigma must be a finite number, got nan"),
+        # removed settings are unknown keys
+        ({"successTol": None},
+         "spec keys ['N', 'axis', 'axisValues', 'ensembleList', 'fixed', 'masterSeed', "
+         "'successTol', 'trials'] must cover ['N', 'axis', 'axisValues', 'ensembleList', "
+         "'fixed', 'masterSeed', 'trials'] and stay within ['N', 'axis', 'axisValues', "
+         "'ensembleList', 'fixed', 'masterSeed', 'solver', 'trials']"),
         ({"solver": {"maxIterations": "5"}}, "solver maxIterations must be an integer, got '5'"),
-        ({"solver": {"penalty": None}}, "solver penalty must be a finite number, got None"),
+        ({"solver": {"penalty": None}}, "solver keys must stay within ['maxIterations']"),
+        ({"solver": {"maxIterations": 50, "primalTol": 1e-6}},
+         "solver keys must stay within ['maxIterations']"),
         ({"fixed": 8}, "fixed must be an object, axisValues and ensembleList lists"),
         ({"axisValues": 2}, "fixed must be an object, axisValues and ensembleList lists"),
     ],
-    ids=["axis-value-null", "axis-value-infinity", "fixed-n-null", "success-tol-null",
-         "max-iterations-string", "penalty-null", "fixed-not-object", "axis-values-not-list"],
+    ids=["axis-value-null", "axis-value-infinity", "axis-value-fraction",
+         "axis-value-integral-float", "fixed-n-null", "fixed-n-fraction",
+         "n-axis-value-fraction", "fixed-k-fraction", "sigma-axis-value-null",
+         "fixed-sigma-nan", "success-tol-null", "max-iterations-string", "penalty-null",
+         "primal-tol", "fixed-not-object", "axis-values-not-list"],
 )
 def test_sweep_rejects_malformed_spec_values(capsys, tmp_path, change, message):
     spec_path = sweep_spec_file(tmp_path)

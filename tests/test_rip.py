@@ -177,10 +177,18 @@ def test_chunked_enumeration_keeps_the_first_worst_support(monkeypatch):
         assert delta_k_bruteforce(mat, order) == est
 
 
-def test_bruteforce_caps_and_argument_checks():
+def test_bruteforce_caps_and_argument_checks(monkeypatch):
+    # 3,838,380 supports of size 6 from 40 columns: refused before any work
+    wide = gen_measurement("partial-symmetric-bernoulli", 4, 40, 0)
+    with pytest.raises(EnumerationTooLargeError, match="the cap is 1000000"):
+        delta_k_bruteforce(wide, 6)
     mat = gen_measurement("partial-symmetric-bernoulli", 10, 20, 0)
+    # 1140 supports of size 3 from 20 columns: the cap is inclusive
+    monkeypatch.setattr(rip, "MAX_SUPPORTS", 1140)
+    assert delta_k_bruteforce(mat, 3).supports_checked == 1140
+    monkeypatch.setattr(rip, "MAX_SUPPORTS", 1139)
     with pytest.raises(EnumerationTooLargeError):
-        delta_k_bruteforce(mat, 3, max_supports=100)
+        delta_k_bruteforce(mat, 3)
     with pytest.raises(DimensionError):
         delta_k_bruteforce(mat, 0)
     with pytest.raises(DimensionError):

@@ -225,3 +225,15 @@ def test_below_rejects_out_of_range_bound_without_drawing(bound, monkeypatch):
 def test_raw_rejects_negative_count():
     with pytest.raises(ValueError):
         Stream(0).raw(-1)
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint64])
+def test_numpy_integer_arguments_draw_like_python_ints(kind):
+    # int % np.int64 and np.uint64 - int once overflowed inside the draws;
+    # a quarter of the draws below 2**62 + 1 are rejected
+    want, got = Stream(3), Stream(3)
+    for bound in (10, 2**62 + 1):
+        assert got.below(kind(bound)) == want.below(bound)
+    assert np.array_equal(got.sample_without_replacement(kind(20), kind(3)),
+                          want.sample_without_replacement(20, 3))
+    assert got.position == want.position

@@ -25,6 +25,8 @@ from symcs.errors import (
 from symcs.experiments import plant_signal
 from symcs.rng import Stream, derive_seed
 from symcs.solver import (
+    DUAL_TOL,
+    PRIMAL_TOL,
     SolverConfig,
     SolverResult,
     _row_basis,
@@ -241,10 +243,10 @@ def test_verify_solution_thresholds():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(primal_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(penalty=-1.0)
+    # the penalty and the tolerances are constants, not settings
+    for name in ("penalty", "primal_tol", "dual_tol", "feas_tol"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: 1.0})
 
 
 def test_solver_result_objective():
@@ -265,7 +267,7 @@ def test_basis_pursuit_never_beats_nor_misses_the_planted_objective(seed):
     res = basis_pursuit(mat, y)
     if res.status != "converged":
         return
-    assert verify_solution(mat, res.solution, y, feas_tol=1e-5)
+    assert verify_solution(mat, res.solution, y)
     # the planted vector is feasible, so the minimum cannot exceed its norm
     assert res.objective <= np.abs(truth).sum() + 1e-5
 
@@ -300,19 +302,24 @@ def expression_basis_pursuit(a, y, cfg):
         v = z - u
         x = v - basis.T @ (basis @ v) + particular
         z_old = z
-        z = np.sign(x + u) * np.maximum(np.abs(x + u) - 1.0 / cfg.penalty, 0.0)
+        z = np.sign(x + u) * np.maximum(np.abs(x + u) - 1.0, 0.0)
         u = u + x - z
         primal = float(np.linalg.norm(x - z))
-        dual = cfg.penalty * float(np.linalg.norm(z - z_old))
-        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+        dual = float(np.linalg.norm(z - z_old))
+        if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
             status, iterations = "converged", it
             break
     return x, iterations, status, primal, dual
 
 
 def expression_bpdn(a, y, epsilon, cfg):
-    """The ADMM loop of ``bpdn`` written as plain array expressions."""
+    """The ADMM loop of ``bpdn`` written as plain array expressions.
+
+    Returns the result and the number of iterations whose ``Ax + u2`` fell
+    inside the ball, where the projection leaves it unchanged.
+    """
     n, width = a.shape
+    inside = 0
     lower = cholesky(np.eye(n) + a @ a.T, lower=True)
     basis = solve_triangular(lower, a, lower=True)
     z = u1 = x = np.zeros(width)
@@ -323,26 +330,29 @@ def expression_bpdn(a, y, epsilon, cfg):
         x = b - basis.T @ (basis @ b)
         ax = a @ x
         z_old, w_old = z, w
-        z = np.sign(x + u1) * np.maximum(np.abs(x + u1) - 1.0 / cfg.penalty, 0.0)
+        z = np.sign(x + u1) * np.maximum(np.abs(x + u1) - 1.0, 0.0)
         gap = ax + u2 - y
         norm = float(np.linalg.norm(gap))
+        inside += norm <= epsilon
         w = ax + u2 if norm <= epsilon else y + gap * (epsilon / norm)
         u1 = u1 + x - z
         u2 = u2 + ax - w
         primal = math.hypot(float(np.linalg.norm(x - z)), float(np.linalg.norm(ax - w)))
-        dual = cfg.penalty * math.hypot(
+        dual = math.hypot(
             float(np.linalg.norm(z - z_old)), float(np.linalg.norm(a.T @ (w - w_old)))
         )
-        if primal <= cfg.primal_tol and dual <= cfg.dual_tol:
+        if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
             status, iterations = "converged", it
             break
-    return x, iterations, status, primal, dual
+    return (x, iterations, status, primal, dual), inside
 
 
 def frozen_case(name):
     mat, _, y = planted_instance(30, 64, 4, 5)
     eps = 0.5 * float(np.linalg.norm(y))
-    # penalty 10 with a wide ball: some iterates land inside the ball
+    # a wide ball around a scaled rhs: some iterates land inside the ball.
+    # Penalty rho on (y, eps) runs the iterates of penalty 1 on (rho*y,
+    # rho*eps), scaled by 1/rho; this is the rho = 10 case at penalty 1
     gauss = gen_measurement("gaussian", 6, 6, 5)
     y_gauss = Stream(105).normals(6)
     cases = {
@@ -351,7 +361,7 @@ def frozen_case(name):
         "bpdn-converged": (mat, y, eps, SolverConfig()),
         "bpdn-capped": (mat, y, eps, SolverConfig(max_iterations=25)),
         "bpdn-ball-inactive": (
-            gauss, y_gauss, 0.5 * float(np.linalg.norm(y_gauss)), SolverConfig(penalty=10.0)
+            gauss, 10.0 * y_gauss, 5.0 * float(np.linalg.norm(y_gauss)), SolverConfig()
         ),
     }
     return cases[name]
@@ -364,7 +374,8 @@ def fingerprint(solution, iterations, status, primal, dual):
 
 # sha256 of solution.tobytes(), iterations, status, repr of both residuals,
 # from the loops before they moved to preallocated buffers (OpenBLAS 0.3.31,
-# x86-64 with AVX-512, one thread)
+# x86-64 with AVX-512, one thread); bpdn-ball-inactive, rescaled to penalty
+# 1 when the penalty became a constant, from expression_bpdn on that build
 FROZEN_RESULTS = {
     "bp-converged": (
         "96541de96e012b081bd68ec8372ce253436ba3e4877fd8a958835c31a3488666",
@@ -379,8 +390,8 @@ FROZEN_RESULTS = {
         "2c40b3845695c965b8b96120112a7cb91a98c652cebddd3313a20705a57d3421",
         25, "max-iterations", "0.02358392057835549", "0.024109475969638416"),
     "bpdn-ball-inactive": (
-        "52c78598d9f0bb425f9fafcc943fcd9c9e50a9147192a67f08d605f9b21c74b8",
-        377, "converged", "6.755024528444925e-08", "9.774743690045094e-08"),
+        "f9cb87a073dd6831218bec292e601d8677cabd5d5fac21b06b8568c2a972df3d",
+        417, "converged", "9.435709324203564e-08", "9.212068384279422e-08"),
 }
 
 
@@ -392,7 +403,9 @@ def test_admm_results_are_frozen(name):
         expected = expression_basis_pursuit(mat.entries, y, cfg)
     else:
         res = bpdn(mat, y, epsilon, cfg)
-        expected = expression_bpdn(mat.entries, y, epsilon, cfg)
+        expected, inside = expression_bpdn(mat.entries, y, epsilon, cfg)
+        if name == "bpdn-ball-inactive":
+            assert inside > 0
     got = fingerprint(res.solution, res.iterations, res.status,
                       res.primal_residual, res.dual_residual)
     # bit for bit the arithmetic of the plain expressions, on any BLAS
