@@ -30,6 +30,11 @@ normal variates row-major; toeplitz and circulant draw the full source
 matrix and then read the entries they need, so the three share first rows at
 equal seeds.  Every ensemble checks ``n * N <= MAX_ENTRIES`` before it
 allocates anything.
+
+A sign ensemble's matrix is its int8 signs and its scale, one byte an entry.
+Its float64 entries are never stored: each product that needs them builds a
+copy (``entries`` in C order, ``dense("F")`` in Fortran order) and releases
+it, so at 2400 x 4096 no 79 MB float copy lives beside the signs.
 """
 
 from __future__ import annotations
@@ -65,13 +70,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MeasurementMatrix:
     """An ``n x N`` measurement matrix with its generation descriptor.
 
-    ``entries`` is the scaled float matrix actually applied to signals.  For
-    sign ensembles the unscaled int8 ``signs`` are retained so that integer
-    arithmetic on them stays exact; ``entries == signs * scale`` elementwise.
+    A sign ensemble's matrix is its unscaled int8 ``signs`` and its ``scale``;
+    integer arithmetic on the signs stays exact, and no float copy is stored.
+    Each read of ``entries`` builds a fresh float64 ``signs * scale``, for the
+    product that needs it to use and then release.  A dense ensemble stores
+    its float ``entries`` and has ``signs = None``.  The constructor takes
+    exactly one of ``entries`` and ``signs``.
     """
 
     ensemble: str
@@ -79,29 +87,50 @@ class MeasurementMatrix:
     dimension: int
     seed: int
     scale: float
-    entries: np.ndarray
-    signs: np.ndarray | None = field(default=None)
+    signs: np.ndarray | None
+    _stored: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        if self.ensemble not in ENSEMBLES:
-            raise DimensionError(f"unknown ensemble {self.ensemble!r}")
-        if not 1 <= self.rows <= self.dimension:
+    def __init__(self, ensemble, rows, dimension, seed, scale, entries=None, signs=None):
+        if ensemble not in ENSEMBLES:
+            raise DimensionError(f"unknown ensemble {ensemble!r}")
+        if not 1 <= rows <= dimension:
             raise DimensionError(
-                f"need 1 <= rows <= dimension, got {self.rows}, {self.dimension}"
+                f"need 1 <= rows <= dimension, got {rows}, {dimension}"
             )
-        e = self.entries
-        if e.shape != (self.rows, self.dimension):
+        if (entries is None) == (signs is None):
+            raise DimensionError("give exactly one of entries and signs")
+        if signs is None:
+            name, given, dtype = "entries", entries, np.float64
+        else:
+            name, given, dtype = "signs", signs, np.int8
+        if given.shape != (rows, dimension):
             raise DimensionError(
-                f"entries shape {e.shape} does not match ({self.rows}, {self.dimension})"
+                f"{name} shape {given.shape} does not match ({rows}, {dimension})"
             )
-        if e.dtype != np.float64:
-            raise DimensionError(f"entries must be float64, got {e.dtype}")
-        if self.signs is not None:
-            s = self.signs
-            if s.shape != e.shape or s.dtype != np.int8:
-                raise DimensionError("signs must be int8 with the entries shape")
-            if not np.array_equal(e, s.astype(np.float64) * self.scale):
-                raise DimensionError("entries disagree with signs * scale")
+        if given.dtype != dtype:
+            raise DimensionError(f"{name} must be {np.dtype(dtype)}, got {given.dtype}")
+        for key, value in (
+            ("ensemble", ensemble), ("rows", rows), ("dimension", dimension),
+            ("seed", seed), ("scale", scale), ("signs", signs), ("_stored", entries),
+        ):
+            object.__setattr__(self, key, value)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The scaled float matrix: built afresh for a sign ensemble, else the stored one."""
+        return self._stored if self.signs is None else self.dense()
+
+    def dense(self, order: str = "C") -> np.ndarray:
+        """A fresh float64 copy of the matrix in memory ``order`` (``"C"`` or ``"F"``).
+
+        A sign ensemble's copy is ``signs * scale`` cast straight into
+        ``order``, with the bits of ``entries``.
+        """
+        if self.signs is None:
+            return np.array(self._stored, order=order)
+        out = self.signs.astype(np.float64, order=order)
+        out *= self.scale
+        return out
 
     def descriptor(self) -> dict:
         return {
@@ -158,7 +187,6 @@ def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> Meas
             dimension=dimension,
             seed=seed,
             scale=scale,
-            entries=signs.astype(np.float64) * scale,
             signs=signs,
         )
     source = stream.normals(rows * dimension)

@@ -203,9 +203,9 @@ def run_trial(
 
 
 def _number(name: str, value, integer: bool = False):
-    """``value`` if it is a finite JSON number (an integer when asked), never a bool."""
+    """``value`` if it is a finite number (an integer when asked), never a bool."""
     if isinstance(value, bool) or not (
-        isinstance(value, int)
+        isinstance(value, (int, np.integer))
         or (not integer and isinstance(value, float) and math.isfinite(value))
     ):
         kind = "an integer" if integer else "a finite number"
@@ -263,19 +263,25 @@ class ExperimentSpec:
             )
         if self.fixed.get("kind", "pm1") not in SIGNAL_KINDS:
             raise DimensionError(f"unknown signal kind {self.fixed.get('kind')!r}")
-        if float(self.fixed.get("sigma", 0.0)) < 0.0:
+        # row counts and sparsities are integers; only sigma takes fractions
+        for value in self.axis_values:
+            _number("axisValues entry", value, self.axis != "sigma")
+        for name in ("n", "k", "sigma"):
+            if name in self.fixed:
+                _number(f"fixed {name}", self.fixed[name], name != "sigma")
+        if self.fixed.get("sigma", 0.0) < 0.0:
             raise ValueError("fixed sigma must be nonnegative")
         for name in ("n", "k"):
-            if name in self.fixed and not 1 <= int(self.fixed[name]) <= self.dimension:
+            if name in self.fixed and not 1 <= self.fixed[name] <= self.dimension:
                 raise DimensionError(
                     f"fixed {name}={self.fixed[name]} out of range for "
                     f"dimension {self.dimension}"
                 )
         for value in self.axis_values:
             if self.axis == "sigma":
-                if float(value) < 0.0:
+                if value < 0.0:
                     raise ValueError(f"sigma axis value {value} is negative")
-            elif not 1 <= int(value) <= self.dimension:
+            elif not 1 <= value <= self.dimension:
                 raise DimensionError(
                     f"{self.axis} axis value {value} out of range for "
                     f"dimension {self.dimension}"
@@ -301,12 +307,6 @@ class ExperimentSpec:
             isinstance(data[key], list) for key in ("axisValues", "ensembleList")
         ):
             raise DimensionError("fixed must be an object, axisValues and ensembleList lists")
-        # row counts and sparsities are integers; only sigma takes fractions
-        for value in data["axisValues"]:
-            _number("axisValues entry", value, data["axis"] != "sigma")
-        for key in ("n", "k", "sigma"):
-            if key in fixed:
-                _number(f"fixed {key}", fixed[key], key != "sigma")
         return cls(
             dimension=_number("N", data["N"], integer=True),
             axis=data["axis"],

@@ -53,7 +53,9 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     first in enumeration order that attains the constant.  Enumeration
     refuses to start above ``MAX_SUPPORTS`` (1,000,000) supports.
     """
-    rows, dimension = np.shape(getattr(matrix, "entries", matrix))
+    # a sign matrix's shape comes from its signs, without a float copy
+    signs = getattr(matrix, "signs", None)
+    rows, dimension = np.shape(getattr(matrix, "entries", matrix) if signs is None else signs)
     if not 1 <= order <= dimension:
         raise DimensionError(
             f"need 1 <= order <= dimension, got {order}, {dimension}"

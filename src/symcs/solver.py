@@ -15,6 +15,14 @@ iteration, for the report), since the stopping test reads it only then.
 Iterates, iteration counts and both reported residuals are bit-identical to
 the plain expression form of the same updates.
 
+A sign matrix (see :mod:`symcs.ensembles`) is its signs: each float copy a
+solve needs is built where a product needs it and then released.  The Gram
+is taken from a C-order copy that is dropped before the factorization;
+``W`` is solved in place in a fresh Fortran-order copy; basis pursuit's
+iterations hold ``W`` alone, and its closing check builds its copy after
+``W`` is gone.  ``bpdn`` multiplies by ``A^T`` every iteration, so it builds
+one copy for its whole solve.  An array passed in is read, never written.
+
 The ADMM penalty is fixed at 1 and the stopping tolerances at ``PRIMAL_TOL``
 and ``DUAL_TOL`` (1e-7); ``SolverConfig`` holds only the iteration cap.  The
 final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6) relative slack.
@@ -38,6 +46,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
+from .ensembles import MeasurementMatrix
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
 from .linalg import soft_threshold, solve_spd
 
@@ -92,17 +101,24 @@ class SolverResult:
 
 
 def _entries(matrix) -> np.ndarray:
+    """The float matrix: a fresh copy for a sign matrix, else the caller's array."""
     entries = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
     if entries.ndim != 2:
         raise DimensionError(f"matrix must be 2-d, got shape {entries.shape}")
     return entries
 
 
-def _check_rhs(entries: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _shape(matrix) -> tuple:
+    if isinstance(matrix, MeasurementMatrix):
+        return matrix.rows, matrix.dimension
+    return _entries(matrix).shape
+
+
+def _check_rhs(rows: int, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (entries.shape[0],):
+    if y.shape != (rows,):
         raise DimensionError(
-            f"rhs shape {y.shape} does not match {entries.shape[0]} rows"
+            f"rhs shape {y.shape} does not match {rows} rows"
         )
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
@@ -111,20 +127,35 @@ def _check_rhs(entries: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _row_basis(a: np.ndarray, shift: float):
+def _row_basis(matrix, shift: float):
     """Factor ``shift*I + A A^T = L L^T`` once; return ``L`` and ``W = L^{-1} A``.
 
     ``W^T W = A^T (shift*I + A A^T)^{-1} A``, so ``v - W^T (W v)`` is the
     projection onto the null space of ``A`` at ``shift = 0`` and the
     Woodbury form of ``(I + A^T A)^{-1} v`` at ``shift = 1``.  Raises
     LinAlgError when the shifted Gram matrix is not positive definite.
+
+    A sign matrix's float copies are built one at a time: the C-order one
+    for the Gram is released before the factorization, and ``W`` is solved
+    in place in a fresh Fortran-order copy, the one LAPACK would otherwise
+    make.  An array passed in is never written.
     """
+    a = _entries(matrix)
     gram = a @ a.T
+    del a
     gram[np.diag_indices_from(gram)] += shift
     # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
     # the Fortran order LAPACK factors in place, with no copy of the Gram
     lower = cholesky(gram.T, lower=True, overwrite_a=True)
-    return lower, solve_triangular(lower, a, lower=True)
+    if isinstance(matrix, MeasurementMatrix):
+        basis = matrix.dense("F")
+    else:
+        basis = np.array(_entries(matrix), order="F")
+    # the Gram passed cholesky's finiteness check, and its diagonal is finite
+    # only if every entry is, so the copy needs no second scan
+    return lower, solve_triangular(
+        lower, basis, lower=True, overwrite_b=True, check_finite=False
+    )
 
 
 def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
@@ -134,14 +165,15 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     through the row basis ``W`` of ``A A^T = L L^T``, so every iterate (and
     the returned solution) is feasible to factorization accuracy.  A rank-deficient row
     space leaves no projection to compute and is reported as
-    ``infeasible-detected`` with a zero solution.
+    ``infeasible-detected`` with a zero solution.  The iterations hold ``W``
+    and no float copy of a sign matrix; the closing check builds one after
+    ``W`` is released.
     """
     cfg = config or SolverConfig()
-    a = _entries(matrix)
-    y = _check_rhs(a, y)
-    n, width = a.shape
+    n, width = _shape(matrix)
+    y = _check_rhs(n, y)
     try:
-        lower, basis = _row_basis(a, 0.0)
+        lower, basis = _row_basis(matrix, 0.0)
     except LinAlgError:
         return SolverResult(
             solution=np.zeros(width),
@@ -151,6 +183,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             dual_residual=math.inf,
         )
     particular = basis.T @ solve_triangular(lower, y, lower=True)
+    del lower
     x = np.empty(width)
     z = np.zeros(width)
     z_new = np.empty(width)
@@ -182,7 +215,8 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
                 iterations = it
                 break
         z, z_new = z_new, z
-    if not verify_solution(a, x, y):
+    del basis
+    if not verify_solution(matrix, x, y):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -208,11 +242,10 @@ def bpdn(
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config or SolverConfig()
-    a = _entries(matrix)
-    y = _check_rhs(a, y)
+    n, width = _shape(matrix)
+    y = _check_rhs(n, y)
     if epsilon == 0.0:
         return basis_pursuit(matrix, y, cfg)
-    n, width = a.shape
     if float(np.linalg.norm(y)) <= epsilon:
         return SolverResult(
             solution=np.zeros(width),
@@ -221,6 +254,8 @@ def bpdn(
             primal_residual=0.0,
             dual_residual=0.0,
         )
+    # the loop's products with A^T and the closing check share one float copy
+    a = _entries(matrix)
     _, basis = _row_basis(a, 1.0)
     x = np.empty(width)
     z = np.zeros(width)
@@ -294,7 +329,7 @@ def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) 
     ADMM solvers apply it to their final iterate.
     """
     a = _entries(matrix)
-    y = _check_rhs(a, y)
+    y = _check_rhs(a.shape[0], y)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (a.shape[1],):
         raise DimensionError(f"x shape {x.shape} does not match {a.shape[1]} columns")
@@ -319,7 +354,7 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
     1e-7.  Raises InfeasibleError when ``y`` is outside the row space.
     """
     a = _entries(matrix)
-    y = _check_rhs(a, y)
+    y = _check_rhs(a.shape[0], y)
     n, width = a.shape
     stacked = np.hstack([a, -a])
     rank = int(np.linalg.matrix_rank(stacked))
@@ -381,7 +416,7 @@ def l0_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     when no support up to the row count fits.
     """
     a = _entries(matrix)
-    y = _check_rhs(a, y)
+    y = _check_rhs(a.shape[0], y)
     n, width = a.shape
     if width > 12:
         raise EnumerationTooLargeError(

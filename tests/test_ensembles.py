@@ -63,6 +63,11 @@ def test_gaussian_consumes_row_major():
     draws = Stream(9).normals(15).reshape(3, 5)
     assert np.array_equal(matrix.entries, draws * 3 ** -0.5)
     assert matrix.signs is None
+    # a dense ensemble keeps its entries; only dense() copies them
+    assert matrix.entries is matrix.entries
+    fortran = matrix.dense("F")
+    assert fortran.flags.f_contiguous and np.array_equal(fortran, matrix.entries)
+    assert not np.shares_memory(fortran, matrix.entries)
 
 
 def test_structured_share_first_row_with_gaussian():
@@ -152,20 +157,39 @@ def test_entries_csv_parses_back_exactly():
     assert np.array_equal(parsed, matrix.entries)
 
 
-def test_measurement_validation_rejects_mismatched_signs():
+@pytest.mark.parametrize("name", ["partial-symmetric-bernoulli", "iid-bernoulli"])
+@pytest.mark.parametrize("rows, dimension", [(1, 1), (3, 5), (37, 64), (100, 256)])
+def test_sign_matrix_builds_its_floats_from_the_signs(name, rows, dimension):
+    matrix = ens.gen_measurement(name, rows, dimension, 4)
+    expected = matrix.signs.astype(np.float64) * matrix.scale
+    entries = matrix.entries
+    assert entries.flags.c_contiguous
+    assert entries.tobytes() == expected.tobytes()
+    fortran = matrix.dense("F")
+    assert fortran.flags.f_contiguous
+    assert fortran.tobytes(order="C") == expected.tobytes()
+    # every build is a fresh array the caller may overwrite
+    assert not np.shares_memory(entries, matrix.entries)
+    assert not np.shares_memory(fortran, matrix.dense("F"))
+
+
+def test_measurement_takes_exactly_one_representation():
     matrix = ens.gen_measurement("iid-bernoulli", 2, 3, 1)
-    bad = matrix.signs.copy()
-    bad[0, 0] = -bad[0, 0]
-    with pytest.raises(DimensionError):
-        ens.MeasurementMatrix(
-            ensemble=matrix.ensemble,
-            rows=matrix.rows,
-            dimension=matrix.dimension,
-            seed=matrix.seed,
-            scale=matrix.scale,
-            entries=matrix.entries,
-            signs=bad,
-        )
+    descriptor = dict(
+        ensemble=matrix.ensemble,
+        rows=matrix.rows,
+        dimension=matrix.dimension,
+        seed=matrix.seed,
+        scale=matrix.scale,
+    )
+    with pytest.raises(DimensionError, match="exactly one"):
+        ens.MeasurementMatrix(**descriptor, entries=matrix.entries, signs=matrix.signs)
+    with pytest.raises(DimensionError, match="exactly one"):
+        ens.MeasurementMatrix(**descriptor)
+    with pytest.raises(DimensionError, match="signs must be int8"):
+        ens.MeasurementMatrix(**descriptor, signs=matrix.signs.astype(np.int64))
+    with pytest.raises(DimensionError, match="entries shape"):
+        ens.MeasurementMatrix(**descriptor, entries=matrix.entries.T.copy())
 
 
 def test_generators_reject_bad_shapes():

@@ -173,6 +173,38 @@ def test_spec_validation_values():
         small_spec(fixed={"n": 20})
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"axis_values": (2.7,), "fixed": {"n": 8.9}}, "axisValues entry must be an integer, got 2.7"),
+        ({"fixed": {"n": 8.9}}, "fixed n must be an integer, got 8.9"),
+        ({"fixed": {"n": 8.0}}, "fixed n must be an integer, got 8.0"),
+        ({"axis": "n", "axis_values": (8.5,), "fixed": {"k": 2}},
+         "axisValues entry must be an integer, got 8.5"),
+        ({"axis": "n", "axis_values": (8,), "fixed": {"k": 2.5}},
+         "fixed k must be an integer, got 2.5"),
+        ({"axis_values": (True,)}, "axisValues entry must be an integer, got True"),
+        ({"axis": "sigma", "axis_values": ("0.5",), "fixed": {"n": 8, "k": 2}},
+         "axisValues entry must be a finite number, got '0.5'"),
+        ({"axis": "n", "axis_values": (8,), "fixed": {"k": 2, "sigma": math.nan}},
+         "fixed sigma must be a finite number, got nan"),
+    ],
+    ids=["axis-k-and-fixed-n-fractions", "fixed-n-fraction", "fixed-n-integral-float",
+         "axis-n-fraction", "fixed-k-fraction", "axis-value-bool", "sigma-string",
+         "fixed-sigma-nan"],
+)
+def test_spec_built_in_python_rejects_non_integer_counts(overrides, message):
+    # the same rule as from_json: a fractional count is refused, not truncated
+    with pytest.raises(DimensionError) as caught:
+        small_spec(**overrides)
+    assert str(caught.value) == message
+
+
+def test_spec_accepts_numpy_integer_counts():
+    spec = small_spec(axis_values=(np.int64(2),), fixed={"n": np.int32(8)})
+    assert spec.cell_params(spec.axis_values[0]) == (8, 2, 0.0, "pm1")
+
+
 def test_spec_json_roundtrip_is_canonical():
     spec = small_spec(solver=SolverConfig(max_iterations=2500))
     text = spec.to_json()

@@ -9,6 +9,7 @@ arithmetic.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,43 @@ def test_row_basis_factors_the_gram_in_place_bitwise(ensemble):
             got_lower, got_basis = _row_basis(a, shift)
             assert got_lower.tobytes() == lower.tobytes()
             assert got_basis.tobytes() == solve_triangular(lower, a, lower=True).tobytes()
+
+
+@pytest.mark.parametrize("ensemble", ["partial-symmetric-bernoulli", "iid-bernoulli"])
+def test_row_basis_of_a_sign_matrix_matches_its_entries_bitwise(ensemble):
+    for rows, width in ((1, 1), (5, 5), (37, 64), (100, 256)):
+        matrix = gen_measurement(ensemble, rows, width, 3)
+        a = matrix.entries
+        before = a.copy()
+        for shift in (0.0, 1.0):
+            try:
+                expected = _row_basis(a, shift)
+            except LinAlgError:
+                with pytest.raises(LinAlgError):
+                    _row_basis(matrix, shift)
+                continue
+            got = _row_basis(matrix, shift)
+            for mine, theirs in zip(got, expected):
+                assert mine.tobytes() == theirs.tobytes()
+        # an array passed in is read, never overwritten
+        assert a.tobytes() == before.tobytes()
+
+
+def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
+    # numpy reports its buffers to tracemalloc; the peak counts the int8
+    # signs, then either the Gram's float copy and the Gram, or the Cholesky
+    # factor and the row basis, then the closing check's float copy
+    rows, width = 600, 1024
+    tracemalloc.start()
+    try:
+        matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
+        y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
+        tracemalloc.reset_peak()
+        basis_pursuit(matrix, y, SolverConfig(max_iterations=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * rows * width
 
 
 def expression_basis_pursuit(a, y, cfg):
