@@ -13,8 +13,9 @@ This module provides
   product factorizations and moment formulas can be checked by brute force
   rather than sampling
 * the analytic per-row bound ``E exp(h*Q**2) <= (1 - 2h/N)**-0.5`` and the
-  two-sided tail bound ``exp(-(n/2)*(eps**2/2 - eps**3/3))`` on the relative
-  deviation of ``(N/n)*S`` from 1
+  tail bound ``exp(-(n/2)*(eps**2/2 - eps**3/3))`` on each one-sided relative
+  deviation of ``(N/n)*S`` from 1, ``P(T >= 1+eps)`` and ``P(T <= 1-eps)``
+  separately (their sum can exceed it)
 * Monte Carlo tail frequency checks with fully derived per-trial seeds
 * Johnson-Lindenstrauss style sizing of the row count for a point set, and a
   direct pairwise distortion audit of a projected point set
@@ -192,11 +193,13 @@ def row_mgf_bound(h: float, dimension: int) -> float:
 
 
 def tail_bound(eps: float, rows: int) -> float:
-    """Two-sided tail bound ``exp(-(rows/2)*(eps**2/2 - eps**3/3))``.
+    """One-sided tail bound ``exp(-(rows/2)*(eps**2/2 - eps**3/3))``.
 
-    Bounds the probability that ``(N/n)*S`` deviates from 1 by a relative
-    ``eps`` in either direction.  Trivial (at or above 1) once
-    ``eps >= 3/2``.
+    With ``T = (N/n)*S``, bounds ``P(T >= 1+eps)`` and ``P(T <= 1-eps)``,
+    each tail on its own.  It does not bound ``P(|T-1| >= eps)``: at
+    ``N = 2``, one row and ``alpha = (1, 1)/sqrt(2)``, ``|T-1| = 1`` always,
+    so at ``eps = 0.75`` that probability is 1 against a bound of 0.932.
+    Trivial (at or above 1) once ``eps >= 3/2``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")

@@ -43,7 +43,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DimensionError
 from .rng import Stream
@@ -193,14 +192,18 @@ def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> Meas
     first_row = source[:dimension]
     if ensemble == "gaussian":
         vals = source.reshape(rows, dimension)
-    elif ensemble == "toeplitz":
-        # below the corner the first column is source row 1, entries 1..rows-1
-        first_col = np.concatenate((source[:1], source[dimension + 1 : dimension + rows]))
-        vals = toeplitz(first_col, first_row)
     else:
-        # a circulant is the toeplitz matrix whose first column is the first
-        # row read cyclically backwards: entry (i, j) is first_row[(j - i) % N]
-        vals = toeplitz(first_row[-np.arange(rows) % dimension], first_row)
+        # imported here so that only a toeplitz or circulant draw loads scipy.linalg
+        from scipy.linalg import toeplitz
+
+        if ensemble == "toeplitz":
+            # below the corner the first column is source row 1, entries 1..rows-1
+            first_col = np.concatenate((source[:1], source[dimension + 1 : dimension + rows]))
+            vals = toeplitz(first_col, first_row)
+        else:
+            # a circulant is the toeplitz matrix whose first column is the first
+            # row read cyclically backwards: entry (i, j) is first_row[(j - i) % N]
+            vals = toeplitz(first_row[-np.arange(rows) % dimension], first_row)
     return MeasurementMatrix(
         ensemble=ensemble,
         rows=rows,

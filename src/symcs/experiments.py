@@ -233,6 +233,10 @@ class ExperimentSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        # named as in the spec file; a float would reach range() as a TypeError
+        _number("N", self.dimension, integer=True)
+        _number("trials", self.trials, integer=True)
+        _number("masterSeed", self.master_seed, integer=True)
         if self.dimension < 1:
             raise DimensionError(f"dimension must be positive, got {self.dimension}")
         if self.axis not in ("n", "k", "sigma"):
@@ -308,13 +312,13 @@ class ExperimentSpec:
         ):
             raise DimensionError("fixed must be an object, axisValues and ensembleList lists")
         return cls(
-            dimension=_number("N", data["N"], integer=True),
+            dimension=data["N"],
             axis=data["axis"],
             axis_values=tuple(data["axisValues"]),
             fixed=dict(fixed),
-            trials=_number("trials", data["trials"], integer=True),
+            trials=data["trials"],
             ensembles=tuple(data["ensembleList"]),
-            master_seed=_number("masterSeed", data["masterSeed"], integer=True),
+            master_seed=data["masterSeed"],
             solver=SolverConfig(_number(
                 "solver maxIterations", raw.get("maxIterations", SolverConfig.max_iterations),
                 integer=True,

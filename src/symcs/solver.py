@@ -23,6 +23,12 @@ iterations hold ``W`` alone, and its closing check builds its copy after
 ``W`` is gone.  ``bpdn`` multiplies by ``A^T`` every iteration, so it builds
 one copy for its whole solve.  An array passed in is read, never written.
 
+The factorization and the triangular solves are scipy's LAPACK calls
+(``cholesky``, ``solve_triangular``).  ``scipy.linalg`` is imported by the
+first factorization, not with this module, so a process that solves nothing
+never loads it; a failed factorization raises ``numpy.linalg.LinAlgError``,
+the class scipy's ``LinAlgError`` is.
+
 The ADMM penalty is fixed at 1 and the stopping tolerances at ``PRIMAL_TOL``
 and ``DUAL_TOL`` (1e-7); ``SolverConfig`` holds only the iteration cap.  The
 final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6) relative slack.
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .ensembles import MeasurementMatrix
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
@@ -133,13 +138,16 @@ def _row_basis(matrix, shift: float):
     ``W^T W = A^T (shift*I + A A^T)^{-1} A``, so ``v - W^T (W v)`` is the
     projection onto the null space of ``A`` at ``shift = 0`` and the
     Woodbury form of ``(I + A^T A)^{-1} v`` at ``shift = 1``.  Raises
-    LinAlgError when the shifted Gram matrix is not positive definite.
+    ``numpy.linalg.LinAlgError`` (the class scipy raises) when the shifted
+    Gram matrix is not positive definite.
 
     A sign matrix's float copies are built one at a time: the C-order one
     for the Gram is released before the factorization, and ``W`` is solved
     in place in a fresh Fortran-order copy, the one LAPACK would otherwise
     make.  An array passed in is never written.
     """
+    from scipy.linalg import cholesky, solve_triangular
+
     a = _entries(matrix)
     gram = a @ a.T
     del a
@@ -174,7 +182,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     y = _check_rhs(n, y)
     try:
         lower, basis = _row_basis(matrix, 0.0)
-    except LinAlgError:
+    except np.linalg.LinAlgError:
         return SolverResult(
             solution=np.zeros(width),
             iterations=0,
@@ -182,6 +190,8 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
             primal_residual=math.inf,
             dual_residual=math.inf,
         )
+    from scipy.linalg import solve_triangular
+
     particular = basis.T @ solve_triangular(lower, y, lower=True)
     del lower
     x = np.empty(width)

@@ -5,6 +5,7 @@ Frozen constants were derived with independent hand-loop enumerations
 being pinned here.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -128,6 +129,25 @@ def test_tail_bound_shape():
         tail_bound(0.0, 10)
     with pytest.raises(DimensionError):
         tail_bound(0.3, 0)
+
+
+def test_tail_bound_holds_per_tail_not_for_both_tails_together():
+    # N=2, one row, alpha=(1,1)/sqrt(2): T = (N/n) S is 2 or 0 with equal
+    # odds, so |T - 1| = 1 on every symmetric sign matrix.  Each tail at
+    # eps=0.75 has probability 1/2, under the bound 0.932; both tails
+    # together have probability 1, above it.
+    alpha = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    eps, bound = 0.75, tail_bound(0.75, 1)
+    assert bound == pytest.approx(math.exp(-0.0703125), rel=1e-15)
+    energies = []
+    for m11, m12, m22 in itertools.product((-1, 1), repeat=3):
+        _, total = q_statistics(np.array([[m11, m12]]), alpha)
+        energies.append(2.0 * total)
+    upper = sum(t >= 1.0 + eps for t in energies) / len(energies)
+    lower = sum(t <= 1.0 - eps for t in energies) / len(energies)
+    either = sum(abs(t - 1.0) >= eps for t in energies) / len(energies)
+    assert (upper, lower, either) == (0.5, 0.5, 1.0)
+    assert upper <= bound and lower <= bound < either
 
 
 def test_empirical_tails_frozen_counts():

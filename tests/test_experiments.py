@@ -188,10 +188,14 @@ def test_spec_validation_values():
          "axisValues entry must be a finite number, got '0.5'"),
         ({"axis": "n", "axis_values": (8,), "fixed": {"k": 2, "sigma": math.nan}},
          "fixed sigma must be a finite number, got nan"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"dimension": 16.0}, "N must be an integer, got 16.0"),
+        ({"master_seed": 12.5}, "masterSeed must be an integer, got 12.5"),
     ],
     ids=["axis-k-and-fixed-n-fractions", "fixed-n-fraction", "fixed-n-integral-float",
          "axis-n-fraction", "fixed-k-fraction", "axis-value-bool", "sigma-string",
-         "fixed-sigma-nan"],
+         "fixed-sigma-nan", "trials-fraction", "dimension-integral-float",
+         "master-seed-fraction"],
 )
 def test_spec_built_in_python_rejects_non_integer_counts(overrides, message):
     # the same rule as from_json: a fractional count is refused, not truncated

@@ -1,0 +1,73 @@
+"""Import cost: scipy.linalg loads at the first factorization, not with symcs.
+
+Each case runs in a fresh interpreter with the package's source directory on
+``PYTHONPATH``, so no module that an earlier test imported can hide a
+module-level ``scipy`` import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import symcs
+
+# argv[1] is "import" and a module name, or a symcs command line for cli.main;
+# prints the exit code and whether scipy.linalg was loaded
+_PROBE = """
+import contextlib, io, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[1] == "import":
+        __import__(sys.argv[2])
+        code = 0
+    else:
+        from symcs.cli import main
+        code = main(sys.argv[1:])
+print(code, "scipy.linalg" in sys.modules)
+"""
+
+
+def _probe(*argv):
+    src = str(Path(symcs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = done.stdout.split()
+    return int(code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["import", "symcs"],
+        ["import", "symcs.cli"],
+        ["rip-scan", "-n", "6", "-N", "12", "--order", "2", "--seed", "0"],
+        ["check-tails", "-N", "16", "-n", "8", "--eps", "0.5", "--trials", "50",
+         "--seed", "1"],
+        ["check-lemma21", "-N", "4", "-n", "4", "--alpha", "axis"],
+        ["jl-size", "--eps", "0.5", "--beta", "1", "--points", "100"],
+        ["gen-matrix", "--ensemble", "gaussian", "-n", "3", "-N", "5", "--seed", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "import" else argv[0],
+)
+def test_commands_that_solve_nothing_leave_scipy_linalg_unloaded(argv):
+    assert _probe(*argv) == (0, False)
+
+
+def test_solves_and_toeplitz_draws_load_scipy_linalg(tmp_path):
+    spec = {"N": 16, "axis": "k", "axisValues": [2], "fixed": {"n": 8},
+            "trials": 1, "ensembleList": ["partial-symmetric-bernoulli"],
+            "masterSeed": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert _probe("sweep", "--spec", str(spec_path)) == (0, True)
+    assert _probe("image-demo", "--fixture", "sparse32", "-n", "600", "--seed", "1") == (0, True)
+    for ensemble in ("toeplitz", "circulant"):
+        argv = ["gen-matrix", "--ensemble", ensemble, "-n", "3", "-N", "5", "--seed", "1"]
+        assert _probe(*argv) == (0, True)
