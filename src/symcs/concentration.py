@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import gen_symmetric_sign_matrix
+from .ensembles import dense, gen_symmetric_sign_matrix
 from .errors import DimensionError, EnumerationTooLargeError
 from .rng import Stream, derive_seed
 
@@ -341,12 +341,12 @@ class DistortionReport:
 def pairwise_distortion(matrix, points: np.ndarray, eps: float) -> DistortionReport:
     """Audit every pairwise distance of ``points`` under a measurement matrix.
 
-    ``points`` has one vector per row; ``matrix`` is a MeasurementMatrix (or
-    plain array) applied as the projection ``f``.
+    ``points`` has one vector per row; ``matrix``, a MeasurementMatrix or a
+    2-D float array, is applied as the projection ``f``.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    entries = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
+    entries = dense(matrix)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != entries.shape[1]:
         raise DimensionError(

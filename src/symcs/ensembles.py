@@ -33,8 +33,10 @@ allocates anything.
 
 A sign ensemble's matrix is its int8 signs and its scale, one byte an entry.
 Its float64 entries are never stored: each product that needs them builds a
-copy (``entries`` in C order, ``dense("F")`` in Fortran order) and releases
-it, so at 2400 x 4096 no 79 MB float copy lives beside the signs.
+copy (``entries``, or :func:`dense` in either memory order) and releases it,
+so at 2400 x 4096 no 79 MB float copy lives beside the signs.  Every routine
+that takes a matrix reads it through :func:`shape` and :func:`dense`: a
+:class:`MeasurementMatrix` or a 2-D float array, nothing else.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ __all__ = [
     "ENSEMBLES",
     "MAX_ENTRIES",
     "MeasurementMatrix",
+    "dense",
     "descriptor_from_json",
     "entries_csv",
     "gen_measurement",
     "gen_symmetric_sign_matrix",
+    "shape",
 ]
 
 
@@ -92,10 +96,7 @@ class MeasurementMatrix:
     def __init__(self, ensemble, rows, dimension, seed, scale, entries=None, signs=None):
         if ensemble not in ENSEMBLES:
             raise DimensionError(f"unknown ensemble {ensemble!r}")
-        if not 1 <= rows <= dimension:
-            raise DimensionError(
-                f"need 1 <= rows <= dimension, got {rows}, {dimension}"
-            )
+        _check_shape(rows, dimension)
         if (entries is None) == (signs is None):
             raise DimensionError("give exactly one of entries and signs")
         if signs is None:
@@ -117,19 +118,7 @@ class MeasurementMatrix:
     @property
     def entries(self) -> np.ndarray:
         """The scaled float matrix: built afresh for a sign ensemble, else the stored one."""
-        return self._stored if self.signs is None else self.dense()
-
-    def dense(self, order: str = "C") -> np.ndarray:
-        """A fresh float64 copy of the matrix in memory ``order`` (``"C"`` or ``"F"``).
-
-        A sign ensemble's copy is ``signs * scale`` cast straight into
-        ``order``, with the bits of ``entries``.
-        """
-        if self.signs is None:
-            return np.array(self._stored, order=order)
-        out = self.signs.astype(np.float64, order=order)
-        out *= self.scale
-        return out
+        return self._stored if self.signs is None else dense(self)
 
     def descriptor(self) -> dict:
         return {
@@ -142,6 +131,34 @@ class MeasurementMatrix:
 
     def descriptor_json(self) -> str:
         return json.dumps(self.descriptor(), sort_keys=True)
+
+
+def shape(matrix) -> tuple:
+    """``(rows, columns)`` of a MeasurementMatrix or a 2-D float array, else DimensionError."""
+    if isinstance(matrix, MeasurementMatrix):
+        return matrix.rows, matrix.dimension
+    if not isinstance(matrix, np.ndarray):
+        got = type(matrix).__name__
+    elif matrix.ndim == 2 and matrix.dtype.kind == "f":
+        return matrix.shape
+    else:
+        got = f"a {matrix.dtype} array of shape {matrix.shape}"
+    raise DimensionError(f"matrix must be a MeasurementMatrix or a 2-d float array, got {got}")
+
+
+def dense(matrix, order: str = "C") -> np.ndarray:
+    """A fresh float64 copy in memory ``order`` (``"C"`` or ``"F"``), the caller's to overwrite.
+
+    A sign ensemble's copy is ``signs * scale`` cast straight into ``order``.
+    """
+    if not isinstance(matrix, MeasurementMatrix):
+        shape(matrix)
+        return np.array(matrix, dtype=np.float64, order=order)
+    if matrix.signs is None:
+        return np.array(matrix.entries, order=order)
+    out = matrix.signs.astype(np.float64, order=order)
+    out *= matrix.scale
+    return out
 
 
 def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .ensembles import MeasurementMatrix, shape
 from .errors import ConvergenceError, DimensionError, SingularMatrixError
 
 __all__ = [
@@ -26,25 +27,26 @@ def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
     """Gram matrices of the columns indexed by ``support``.
 
     ``support`` is one index set of shape ``(k,)`` or a stack of them of
-    shape ``(c, k)``; the result is ``(k, k)`` or ``(c, k, k)``.  For
-    matrices that retain integer signs the entries are computed as (integer
-    sign dot product) / rows: the diagonal is exactly 1.0 and each
-    off-diagonal is one rounded division.  The float fallback symmetrizes
-    explicitly so the result is always exactly symmetric.
+    shape ``(c, k)``; the result is ``(k, k)`` or ``(c, k, k)``.  For a sign
+    ensemble's MeasurementMatrix the entries are (integer sign dot product)
+    / rows: the diagonal is exactly 1.0 and each off-diagonal is one rounded
+    division.  A dense one or a 2-D float array is read in place, with no
+    copy per chunk of supports, and its Gram is symmetrized explicitly.
     """
+    rows, _ = shape(matrix)
     support = np.asarray(support, dtype=np.int64)
     if support.ndim not in (1, 2):
         raise DimensionError("support must be a (k,) or (c, k) index array")
     ordered = np.sort(support, axis=-1)
     if np.any(ordered[..., 1:] == ordered[..., :-1]):
         raise DimensionError("support has repeated indices")
-    signs = getattr(matrix, "signs", None)
-    if signs is not None:
-        cols = np.moveaxis(signs[:, support], 0, -1).astype(np.int64)
-        dots = cols @ np.swapaxes(cols, -1, -2)
-        return dots.astype(np.float64) / signs.shape[0]
-    entries = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
-    cols = np.moveaxis(entries[:, support], 0, -1)
+    if isinstance(matrix, MeasurementMatrix):
+        if matrix.signs is not None:
+            cols = np.moveaxis(matrix.signs[:, support], 0, -1).astype(np.int64)
+            dots = cols @ np.swapaxes(cols, -1, -2)
+            return dots.astype(np.float64) / rows
+        matrix = matrix.entries
+    cols = np.moveaxis(np.asarray(matrix, dtype=np.float64)[:, support], 0, -1)
     g = cols @ np.swapaxes(cols, -1, -2)
     return (g + np.swapaxes(g, -1, -2)) / 2.0
 

@@ -16,6 +16,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
+from .ensembles import MeasurementMatrix, shape
 from .errors import DimensionError, EnumerationTooLargeError
 from .linalg import gram_on_support
 from .linalg import sym_eigen_extremes  # noqa: F401  (the benchmark's trace hook wraps this name)
@@ -53,9 +54,7 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     first in enumeration order that attains the constant.  Enumeration
     refuses to start above ``MAX_SUPPORTS`` (1,000,000) supports.
     """
-    # a sign matrix's shape comes from its signs, without a float copy
-    signs = getattr(matrix, "signs", None)
-    rows, dimension = np.shape(getattr(matrix, "entries", matrix) if signs is None else signs)
+    rows, dimension = shape(matrix)
     if not 1 <= order <= dimension:
         raise DimensionError(
             f"need 1 <= order <= dimension, got {order}, {dimension}"
@@ -92,18 +91,18 @@ def delta2_coherence(matrix) -> float:
     ``[[1, g], [g, 1]]`` with eigenvalues ``1 +- g``, and the order-2
     constant equals the coherence ``max |g|``.  Computed with integer sign
     dot products and a single division, so the value is a correctly rounded
-    rational.
+    rational.  ``matrix`` must be a sign ensemble's MeasurementMatrix.
     """
-    signs = getattr(matrix, "signs", None)
-    if signs is None:
+    if not isinstance(matrix, MeasurementMatrix) or matrix.signs is None:
         raise DimensionError(
             "coherence shortcut requires a sign ensemble with exact unit columns"
         )
-    if signs.shape[1] < 2:
+    if matrix.dimension < 2:
         raise DimensionError("need at least 2 columns")
-    dots = signs.T.astype(np.int64) @ signs.astype(np.int64)
+    signs = matrix.signs.astype(np.int64)
+    dots = signs.T @ signs
     np.fill_diagonal(dots, 0)
-    return float(np.abs(dots).max()) / signs.shape[0]
+    return float(np.abs(dots).max()) / matrix.rows
 
 
 def recovery_condition(delta2k: float) -> bool:

@@ -16,18 +16,18 @@ Iterates, iteration counts and both reported residuals are bit-identical to
 the plain expression form of the same updates.
 
 A sign matrix (see :mod:`symcs.ensembles`) is its signs: each float copy a
-solve needs is built where a product needs it and then released.  The Gram
-is taken from a C-order copy that is dropped before the factorization;
-``W`` is solved in place in a fresh Fortran-order copy; basis pursuit's
-iterations hold ``W`` alone, and its closing check builds its copy after
-``W`` is gone.  ``bpdn`` multiplies by ``A^T`` every iteration, so it builds
-one copy for its whole solve.  An array passed in is read, never written.
+solve needs is built by ``ensembles.dense`` where a product needs it and
+then released.  The row-space step takes the Gram from one Fortran-order
+copy and solves ``W`` in place in it.  Basis pursuit's iterations hold ``W``
+alone, and its closing check builds its copy after ``W`` is gone; ``bpdn``
+multiplies by ``A^T`` every iteration, so it builds one C-order copy for its
+loop once ``W`` is solved.  An array passed in is read, never written.
 
-The factorization and the triangular solves are scipy's LAPACK calls
-(``cholesky``, ``solve_triangular``).  ``scipy.linalg`` is imported by the
-first factorization, not with this module, so a process that solves nothing
-never loads it; a failed factorization raises ``numpy.linalg.LinAlgError``,
-the class scipy's ``LinAlgError`` is.
+The Gram, the factorization and the triangular solves are scipy's BLAS and
+LAPACK calls (``dsyrk``, ``cholesky``, ``solve_triangular``), imported by the
+first factorization rather than with this module, so a process that solves
+nothing never loads ``scipy.linalg``; a failed factorization raises
+``numpy.linalg.LinAlgError``, the class scipy's ``LinAlgError`` is.
 
 The ADMM penalty is fixed at 1 and the stopping tolerances at ``PRIMAL_TOL``
 and ``DUAL_TOL`` (1e-7); ``SolverConfig`` holds only the iteration cap.  The
@@ -51,7 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensembles import MeasurementMatrix
+from .ensembles import dense, shape
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
 from .linalg import soft_threshold, solve_spd
 
@@ -105,20 +105,6 @@ class SolverResult:
         return float(np.abs(self.solution).sum())
 
 
-def _entries(matrix) -> np.ndarray:
-    """The float matrix: a fresh copy for a sign matrix, else the caller's array."""
-    entries = np.asarray(getattr(matrix, "entries", matrix), dtype=np.float64)
-    if entries.ndim != 2:
-        raise DimensionError(f"matrix must be 2-d, got shape {entries.shape}")
-    return entries
-
-
-def _shape(matrix) -> tuple:
-    if isinstance(matrix, MeasurementMatrix):
-        return matrix.rows, matrix.dimension
-    return _entries(matrix).shape
-
-
 def _check_rhs(rows: int, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (rows,):
@@ -141,29 +127,21 @@ def _row_basis(matrix, shift: float):
     ``numpy.linalg.LinAlgError`` (the class scipy raises) when the shifted
     Gram matrix is not positive definite.
 
-    A sign matrix's float copies are built one at a time: the C-order one
-    for the Gram is released before the factorization, and ``W`` is solved
-    in place in a fresh Fortran-order copy, the one LAPACK would otherwise
-    make.  An array passed in is never written.
+    One fresh Fortran-order copy of the matrix serves both steps: ``dsyrk``
+    takes the lower triangle of the Gram from it (the triangle LAPACK
+    factors in place, bitwise that of ``a @ a.T``), and ``W`` is then solved
+    in place in it.  An array passed in is never written.
     """
     from scipy.linalg import cholesky, solve_triangular
+    from scipy.linalg.blas import dsyrk
 
-    a = _entries(matrix)
-    gram = a @ a.T
-    del a
+    a = dense(matrix, "F")
+    gram = dsyrk(1.0, a, lower=1)
     gram[np.diag_indices_from(gram)] += shift
-    # ``a @ a.T`` is exactly symmetric, so its transpose is the same matrix in
-    # the Fortran order LAPACK factors in place, with no copy of the Gram
-    lower = cholesky(gram.T, lower=True, overwrite_a=True)
-    if isinstance(matrix, MeasurementMatrix):
-        basis = matrix.dense("F")
-    else:
-        basis = np.array(_entries(matrix), order="F")
+    lower = cholesky(gram, lower=True, overwrite_a=True)
     # the Gram passed cholesky's finiteness check, and its diagonal is finite
     # only if every entry is, so the copy needs no second scan
-    return lower, solve_triangular(
-        lower, basis, lower=True, overwrite_b=True, check_finite=False
-    )
+    return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
 
 
 def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
@@ -178,7 +156,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     ``W`` is released.
     """
     cfg = config or SolverConfig()
-    n, width = _shape(matrix)
+    n, width = shape(matrix)
     y = _check_rhs(n, y)
     try:
         lower, basis = _row_basis(matrix, 0.0)
@@ -252,7 +230,7 @@ def bpdn(
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     cfg = config or SolverConfig()
-    n, width = _shape(matrix)
+    n, width = shape(matrix)
     y = _check_rhs(n, y)
     if epsilon == 0.0:
         return basis_pursuit(matrix, y, cfg)
@@ -264,9 +242,9 @@ def bpdn(
             primal_residual=0.0,
             dual_residual=0.0,
         )
-    # the loop's products with A^T and the closing check share one float copy
-    a = _entries(matrix)
-    _, basis = _row_basis(a, 1.0)
+    _, basis = _row_basis(matrix, 1.0)
+    # the loop multiplies by A and A^T; this copy is built once W is solved
+    a = dense(matrix)
     x = np.empty(width)
     z = np.zeros(width)
     z_new = np.empty(width)
@@ -321,7 +299,8 @@ def bpdn(
                 break
         z, z_new = z_new, z
         w, w_new = w_new, w
-    if not verify_solution(a, x, y, epsilon):
+    del basis, a
+    if not verify_solution(matrix, x, y, epsilon):
         status = "infeasible-detected"
     return SolverResult(
         solution=x,
@@ -338,12 +317,12 @@ def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) 
     The test is ``|Ax - y|_2 <= epsilon + FEAS_TOL * max(1, |y|_2)``; both
     ADMM solvers apply it to their final iterate.
     """
-    a = _entries(matrix)
-    y = _check_rhs(a.shape[0], y)
+    rows, width = shape(matrix)
+    y = _check_rhs(rows, y)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.shape[1],):
-        raise DimensionError(f"x shape {x.shape} does not match {a.shape[1]} columns")
-    gap = float(np.linalg.norm(a @ x - y))
+    if x.shape != (width,):
+        raise DimensionError(f"x shape {x.shape} does not match {width} columns")
+    gap = float(np.linalg.norm(dense(matrix) @ x - y))
     return gap <= epsilon + FEAS_TOL * max(1.0, float(np.linalg.norm(y)))
 
 
@@ -363,7 +342,7 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
     objective and uniqueness means all of them agree with the winner to
     1e-7.  Raises InfeasibleError when ``y`` is outside the row space.
     """
-    a = _entries(matrix)
+    a = dense(matrix)
     y = _check_rhs(a.shape[0], y)
     n, width = a.shape
     stacked = np.hstack([a, -a])
@@ -425,7 +404,7 @@ def l0_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     ``tol`` wins.  Singular supports are skipped.  Raises InfeasibleError
     when no support up to the row count fits.
     """
-    a = _entries(matrix)
+    a = dense(matrix)
     y = _check_rhs(a.shape[0], y)
     n, width = a.shape
     if width > 12:

@@ -10,7 +10,6 @@ through the package seed-derivation helpers.
 import json
 import math
 import time
-import types
 from itertools import combinations, product
 
 import numpy as np
@@ -62,10 +61,12 @@ def _sylvester(order: int) -> np.ndarray:
     return h
 
 
-def _sign_battery(signs: np.ndarray):
-    signs = np.asarray(signs, dtype=np.int64)
-    return types.SimpleNamespace(
-        signs=signs, entries=signs / math.sqrt(signs.shape[0])
+def _sign_battery(signs: np.ndarray) -> ensembles.MeasurementMatrix:
+    # for +-1 signs, s * (1/sqrt(rows)) is s / sqrt(rows) bit for bit
+    rows, dimension = signs.shape
+    return ensembles.MeasurementMatrix(
+        "iid-bernoulli", rows, dimension, 0, scale=1 / math.sqrt(rows),
+        signs=np.asarray(signs, dtype=np.int8),
     )
 
 

@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcs import ensembles as ens
+from symcs.concentration import pairwise_distortion
 from symcs.errors import DimensionError
+from symcs.linalg import gram_on_support
+from symcs.rip import delta2_coherence, delta_k_bruteforce
 from symcs.rng import Stream
+from symcs.solver import basis_pursuit, bpdn, l0_oracle_small, l1_oracle_small, verify_solution
 
 
 def test_symmetric_matrix_mirrors_upper_triangle():
@@ -65,7 +69,7 @@ def test_gaussian_consumes_row_major():
     assert matrix.signs is None
     # a dense ensemble keeps its entries; only dense() copies them
     assert matrix.entries is matrix.entries
-    fortran = matrix.dense("F")
+    fortran = ens.dense(matrix, "F")
     assert fortran.flags.f_contiguous and np.array_equal(fortran, matrix.entries)
     assert not np.shares_memory(fortran, matrix.entries)
 
@@ -165,12 +169,55 @@ def test_sign_matrix_builds_its_floats_from_the_signs(name, rows, dimension):
     entries = matrix.entries
     assert entries.flags.c_contiguous
     assert entries.tobytes() == expected.tobytes()
-    fortran = matrix.dense("F")
+    fortran = ens.dense(matrix, "F")
     assert fortran.flags.f_contiguous
     assert fortran.tobytes(order="C") == expected.tobytes()
     # every build is a fresh array the caller may overwrite
     assert not np.shares_memory(entries, matrix.entries)
-    assert not np.shares_memory(fortran, matrix.dense("F"))
+    assert not np.shares_memory(fortran, ens.dense(matrix, "F"))
+
+
+def test_an_array_reads_as_a_fresh_float64_copy():
+    a = np.arange(6, dtype=np.float32).reshape(2, 3)
+    assert ens.shape(a) == (2, 3)
+    for order, contiguous in (("C", "C_CONTIGUOUS"), ("F", "F_CONTIGUOUS")):
+        out = ens.dense(a, order)
+        assert out.dtype == np.float64 and out.flags[contiguous]
+        assert np.array_equal(out, a) and not np.shares_memory(out, a)
+
+
+# every routine that takes a matrix, called with otherwise valid arguments
+MATRIX_READERS = {
+    "shape": ens.shape,
+    "dense": ens.dense,
+    "basis_pursuit": lambda m: basis_pursuit(m, np.ones(2)),
+    "bpdn": lambda m: bpdn(m, np.ones(2), 0.5),
+    "verify_solution": lambda m: verify_solution(m, np.zeros(3), np.zeros(2)),
+    "l1_oracle_small": lambda m: l1_oracle_small(m, np.ones(2)),
+    "l0_oracle_small": lambda m: l0_oracle_small(m, np.ones(2)),
+    "gram_on_support": lambda m: gram_on_support(m, np.array([0, 1])),
+    "delta_k_bruteforce": lambda m: delta_k_bruteforce(m, 1),
+    "delta2_coherence": delta2_coherence,
+    "pairwise_distortion": lambda m: pairwise_distortion(m, np.eye(3), 0.5),
+}
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.ones(3), np.ones((2, 3, 4)), np.ones((2, 3), dtype=np.int64), [[1.0] * 3] * 2],
+    ids=["1-d", "3-d", "int64", "list"],
+)
+@pytest.mark.parametrize("reader", sorted(MATRIX_READERS))
+def test_matrix_readers_take_only_a_measurement_matrix_or_a_2d_float_array(reader, matrix):
+    with pytest.raises(DimensionError):
+        MATRIX_READERS[reader](matrix)
+
+
+@pytest.mark.parametrize("rows, dimension", [(2.0, 4), (2, 4.0), (True, 4)])
+def test_measurement_constructor_checks_its_shape_as_the_generators_do(rows, dimension):
+    # signs of the matching shape: only the integer check can reject these
+    signs = np.ones((int(rows), int(dimension)), dtype=np.int8)
+    with pytest.raises(DimensionError, match="must be an integer"):
+        ens.MeasurementMatrix("iid-bernoulli", rows, dimension, 0, scale=1.0, signs=signs)
 
 
 def test_measurement_takes_exactly_one_representation():

@@ -11,14 +11,13 @@ confirmed by direct eigenvalue enumeration before being pinned.
 """
 
 import math
-import types
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from symcs import rip
-from symcs.ensembles import ENSEMBLES, gen_measurement
+from symcs.ensembles import ENSEMBLES, MeasurementMatrix, gen_measurement
 from symcs.errors import DimensionError, EnumerationTooLargeError
 from symcs.linalg import gram_on_support, sym_eigen_extremes
 from symcs.rip import (
@@ -37,9 +36,10 @@ def sylvester(order):
 
 
 def sign_battery(signs):
-    rows = signs.shape[0]
-    return types.SimpleNamespace(
-        signs=signs, entries=signs.astype(np.float64) / math.sqrt(rows)
+    # for +-1 signs, s * (1/sqrt(rows)) is s / sqrt(rows) bit for bit
+    rows, dimension = signs.shape
+    return MeasurementMatrix(
+        "iid-bernoulli", rows, dimension, 0, scale=1 / math.sqrt(rows), signs=signs
     )
 
 
@@ -102,7 +102,9 @@ def test_coherence_requires_sign_ensemble():
     gauss = gen_measurement("gaussian", 8, 16, 1)
     with pytest.raises(DimensionError):
         delta2_coherence(gauss)
-    one_col = types.SimpleNamespace(signs=np.ones((4, 1), dtype=np.int8))
+    one_col = MeasurementMatrix(
+        "iid-bernoulli", 1, 1, 0, scale=1.0, signs=np.ones((1, 1), dtype=np.int8)
+    )
     with pytest.raises(DimensionError):
         delta2_coherence(one_col)
 
@@ -120,7 +122,7 @@ def test_order_two_scan_is_within_ulps_of_the_exact_pair_value(ensemble):
     # pair by closed-form 2x2 eigenvalues; LAPACK's may be an ulp or two off
     for rows, dim, seed in ((12, 24, 0), (16, 30, 3), (9, 20, 7)):
         mat = gen_measurement(ensemble, rows, dim, seed)
-        if getattr(mat, "signs", None) is not None:
+        if mat.signs is not None:
             exact = delta2_coherence(mat)
         else:
             exact = max(pair_deviation(mat, p) for p in combinations(range(dim), 2))

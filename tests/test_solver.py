@@ -298,24 +298,34 @@ def test_row_basis_of_a_sign_matrix_matches_its_entries_bitwise(ensemble):
         matrix = gen_measurement(ensemble, rows, width, 3)
         a = matrix.entries
         before = a.copy()
+        # the row-space step solves W in a Fortran-order copy, the order this
+        # array already has: it must still be copied, not solved in place
+        fortran = np.asfortranarray(a)
         for shift in (0.0, 1.0):
             try:
                 expected = _row_basis(a, shift)
             except LinAlgError:
-                with pytest.raises(LinAlgError):
-                    _row_basis(matrix, shift)
+                for source in (matrix, fortran):
+                    with pytest.raises(LinAlgError):
+                        _row_basis(source, shift)
                 continue
-            got = _row_basis(matrix, shift)
-            for mine, theirs in zip(got, expected):
-                assert mine.tobytes() == theirs.tobytes()
+            for source in (matrix, fortran):
+                got = _row_basis(source, shift)
+                for mine, theirs in zip(got, expected):
+                    assert mine.tobytes() == theirs.tobytes()
+        y = a @ Stream(rows).normals(width)
+        for source in (a, fortran):
+            basis_pursuit(source, y, SolverConfig(max_iterations=3))
+            bpdn(source, y, 0.5 * float(np.linalg.norm(y)), SolverConfig(max_iterations=3))
         # an array passed in is read, never overwritten
         assert a.tobytes() == before.tobytes()
+        assert fortran.flags.f_contiguous and fortran.tobytes() == before.tobytes()
 
 
 def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
     # numpy reports its buffers to tracemalloc; the peak counts the int8
-    # signs, then either the Gram's float copy and the Gram, or the Cholesky
-    # factor and the row basis, then the closing check's float copy
+    # signs, then the Fortran float copy and the Gram, which become the row
+    # basis and the Cholesky factor in place, then the closing check's copy
     rows, width = 600, 1024
     tracemalloc.start()
     try:
