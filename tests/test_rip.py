@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from symcs import rip
-from symcs.ensembles import ENSEMBLES, MeasurementMatrix, gen_measurement
+from symcs.ensembles import ENSEMBLES, MeasurementMatrix, gen_measurement, shape
 from symcs.errors import DimensionError, EnumerationTooLargeError
 from symcs.linalg import gram_on_support, sym_eigen_extremes
+from symcs.rng import Stream
 from symcs.rip import (
     RipEstimate,
     delta2_coherence,
@@ -177,6 +178,76 @@ def test_chunked_enumeration_keeps_the_first_worst_support(monkeypatch):
         rows = mat.entries.shape[0]
         monkeypatch.setattr(rip, "_CHUNK_BYTES", 8 * order * rows * 7)
         assert delta_k_bruteforce(mat, order) == est
+
+
+def solve_every_support(matrix, order):
+    """The scan without pruning: eigvalsh on every Gram, the first argmax."""
+    dimension = shape(matrix)[1]
+    supports = np.array(list(combinations(range(dimension), order)), dtype=np.int64)
+    eig = np.linalg.eigvalsh(gram_on_support(matrix, supports))
+    dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
+    best = int(np.argmax(dev))
+    return max(float(dev[best]), 0.0), tuple(int(i) for i in supports[best]), len(supports)
+
+
+def tie_rich_arrays():
+    # Hadamard rows, repeated columns and all-ones: many supports attain
+    # the constant, or come within rounding of it
+    hadamard = sylvester(16).astype(np.float64)
+    yield hadamard[:8] / math.sqrt(8)
+    yield hadamard[1:6] / math.sqrt(5)
+    yield np.repeat(Stream(3).normals(40).reshape(5, 8), 2, axis=1)
+    yield np.ones((4, 10))
+    yield np.ones((6, 12)) / math.sqrt(6)
+
+
+@pytest.mark.parametrize("supports_per_chunk", [None, 7])
+def test_pruned_scan_equals_solving_every_support(monkeypatch, supports_per_chunk):
+    # None keeps the default chunk; 7 supports per chunk puts ties across
+    # chunk boundaries
+    cases = [
+        (gen_measurement(ensemble, rows, dim, seed), order)
+        for ensemble in ENSEMBLES
+        for rows, dim, seed in ((6, 12, 0), (8, 16, 5), (12, 24, 11))
+        for order in range(1, 5)
+    ]
+    cases += [(arr, order) for arr in tie_rich_arrays() for order in range(1, 5)]
+    for mat, order in cases:
+        if supports_per_chunk is not None:
+            chunk_bytes = 8 * order * shape(mat)[0] * supports_per_chunk
+            monkeypatch.setattr(rip, "_CHUNK_BYTES", chunk_bytes)
+        delta, worst_support, count = solve_every_support(mat, order)
+        est = delta_k_bruteforce(mat, order)
+        assert est.delta.hex() == delta.hex()
+        assert est.worst_support == worst_support
+        assert est.supports_checked == count
+
+
+def test_order_four_scan_solves_a_small_share_of_its_supports(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(grams):
+        solved.append(len(grams))
+        return eigvalsh(grams)
+
+    monkeypatch.setattr(rip.np.linalg, "eigvalsh", counting)
+    mat = gen_measurement("partial-symmetric-bernoulli", 12, 24, 0)
+    est = delta_k_bruteforce(mat, 4)
+    assert est.supports_checked == 10626
+    assert sum(solved) < 0.15 * est.supports_checked
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200])
+def test_a_gram_that_is_not_finite_is_refused(entry):
+    # 1e200 squares past the float range: the Gram holds inf
+    arr = Stream(4).normals(48).reshape(6, 8)
+    arr[2, 5] = entry
+    with np.errstate(over="ignore"):
+        with pytest.raises(DimensionError, match=r"support \(0, 5\)"):
+            delta_k_bruteforce(arr, 2)
+        with pytest.raises(DimensionError, match=r"support \(5,\)"):
+            delta_k_bruteforce(arr, 1)
 
 
 def test_bruteforce_caps_and_argument_checks(monkeypatch):
