@@ -9,7 +9,7 @@ reproducible bit for bit.
 """
 
 from .concentration import (
-    empirical_tail,
+    empirical_tails,
     jl_min_measurements,
     mgf_lhs_exact,
     mgf_rhs_exact,
@@ -21,14 +21,13 @@ from .experiments import ExperimentSpec, plant_signal, run_trial, sweep
 from .imageio import image_recover, read_pgm, write_pgm
 from .rip import delta2_coherence, delta_k_bruteforce, recovery_condition
 from .rng import Stream, derive_seed
-from .solver import SolverConfig, basis_pursuit, bpdn
+from .solver import basis_pursuit, bpdn
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ENSEMBLES",
     "ExperimentSpec",
-    "SolverConfig",
     "Stream",
     "__version__",
     "basis_pursuit",
@@ -36,7 +35,7 @@ __all__ = [
     "delta2_coherence",
     "delta_k_bruteforce",
     "derive_seed",
-    "empirical_tail",
+    "empirical_tails",
     "gen_measurement",
     "gen_symmetric_sign_matrix",
     "image_recover",

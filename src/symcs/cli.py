@@ -133,7 +133,8 @@ def _cmd_gen_matrix(args) -> int:
     )
     print(matrix.descriptor_json())
     if args.entries:
-        Path(args.entries).write_text(ensembles.entries_csv(matrix))
+        with open(args.entries, "w") as handle:
+            ensembles.entries_csv(matrix, handle)
     return 0
 
 
@@ -198,8 +199,8 @@ def _cmd_check_lemma21(args) -> int:
 
 
 def _cmd_check_tails(args) -> int:
-    report = concentration.empirical_tail(
-        args.dimension, args.rows, args.eps, args.trials, _resolve_seed(args.seed)
+    (report,) = concentration.empirical_tails(
+        args.dimension, args.rows, [args.eps], args.trials, _resolve_seed(args.seed)
     )
     passed = (
         report.upper_freq <= report.bound + report.slack_3se

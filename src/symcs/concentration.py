@@ -39,7 +39,6 @@ _MAX_ROW_BITS = 16
 __all__ = [
     "DistortionReport",
     "TailCheckReport",
-    "empirical_tail",
     "empirical_tails",
     "jl_measurement_bound",
     "jl_min_measurements",
@@ -284,13 +283,6 @@ def empirical_tails(
         )
         for i, eps in enumerate(eps_values)
     )
-
-
-def empirical_tail(
-    dimension: int, rows: int, eps: float, trials: int, master_seed: int
-) -> TailCheckReport:
-    """Single-threshold form of :func:`empirical_tails`."""
-    return empirical_tails(dimension, rows, [eps], trials, master_seed)[0]
 
 
 def jl_measurement_bound(eps: float, beta: float, points: int) -> float:

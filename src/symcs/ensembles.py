@@ -82,7 +82,8 @@ class MeasurementMatrix:
     Each read of ``entries`` builds a fresh float64 ``signs * scale``, for the
     product that needs it to use and then release.  A dense ensemble stores
     its float ``entries`` and has ``signs = None``.  The constructor takes
-    exactly one of ``entries`` and ``signs``.
+    exactly one of ``entries`` and ``signs`` and stores a read-only view of
+    it, so the matrix stays the one its descriptor regenerates.
     """
 
     ensemble: str
@@ -113,6 +114,9 @@ class MeasurementMatrix:
             ("ensemble", ensemble), ("rows", rows), ("dimension", dimension),
             ("seed", seed), ("scale", scale), ("signs", signs), ("_stored", entries),
         ):
+            if isinstance(value, np.ndarray):  # a view, so the caller's keeps its flags
+                value = value.view()
+                value.flags.writeable = False
             object.__setattr__(self, key, value)
 
     @property
@@ -254,10 +258,11 @@ def descriptor_from_json(text: str) -> MeasurementMatrix:
     return matrix
 
 
-def entries_csv(matrix: MeasurementMatrix) -> str:
-    """Entries as CSV, one row per line, values via repr for exact round-trip."""
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix.entries]
-    return "\n".join(lines) + "\n"
+def entries_csv(matrix: MeasurementMatrix, handle) -> None:
+    """Write the entries to text ``handle`` as CSV, one row per line as it is
+    formatted, values via repr for exact round-trip."""
+    for row in matrix.entries:
+        handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _check_integer(name: str, value) -> None:

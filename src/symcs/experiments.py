@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Final
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .rng import Stream, derive_seed
-from .solver import SolverConfig, basis_pursuit, bpdn
+from .solver import MAX_ITERATIONS, basis_pursuit, bpdn
 
 EXACT_SNR: Final = "exact"
 
@@ -166,16 +166,16 @@ def run_trial(
     kind: str,
     sigma: float,
     trial_seed: int,
-    config: SolverConfig | None = None,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> TrialOutcome:
     """One planted recovery trial, fully determined by ``trial_seed``.
 
     Sub-seeds: label 0 draws the matrix, label 1 the signal, label 2 the
     noise (consumed only when ``sigma > 0``).  A raising solve is recorded
     as an infinite error rather than propagated, so sweeps always complete.
-    The solver is called positionally, as ``(matrix, y, config)`` or
-    ``(matrix, y, epsilon, config)``: the benchmark records each solve by
-    wrapping these two names with that signature.
+    The solver is called positionally, as ``(matrix, y, max_iterations)`` or
+    ``(matrix, y, epsilon, max_iterations)``: the benchmark records each
+    solve by wrapping these two names with that signature.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
@@ -186,9 +186,9 @@ def run_trial(
         if sigma > 0.0:
             noise = sigma * Stream(derive_seed(trial_seed, [2])).normals(rows)
             y = y + noise
-            result = bpdn(matrix, y, float(np.linalg.norm(noise)), config)
+            result = bpdn(matrix, y, float(np.linalg.norm(noise)), max_iterations)
         else:
-            result = basis_pursuit(matrix, y, config)
+            result = basis_pursuit(matrix, y, max_iterations)
         error = rel_err(result.solution, signal.vector)
         return TrialOutcome(
             rel_err=error,
@@ -220,7 +220,7 @@ class ExperimentSpec:
     ``axis`` is ``"n"`` (row count), ``"k"`` (sparsity), or ``"sigma"``
     (noise level); ``fixed`` pins the quantities the axis does not vary and
     may set ``kind`` (default ``"pm1"``) and, for the n and k axes,
-    ``sigma`` (default 0).
+    ``sigma`` (default 0).  ``max_iterations`` is the solver's iteration cap.
     """
 
     dimension: int
@@ -230,10 +230,13 @@ class ExperimentSpec:
     trials: int
     ensembles: tuple
     master_seed: int
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
         # named as in the spec file; a float would reach range() as a TypeError
+        _number("solver maxIterations", self.max_iterations, integer=True)
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         _number("N", self.dimension, integer=True)
         _number("trials", self.trials, integer=True)
         _number("masterSeed", self.master_seed, integer=True)
@@ -319,10 +322,7 @@ class ExperimentSpec:
             trials=data["trials"],
             ensembles=tuple(data["ensembleList"]),
             master_seed=data["masterSeed"],
-            solver=SolverConfig(_number(
-                "solver maxIterations", raw.get("maxIterations", SolverConfig.max_iterations),
-                integer=True,
-            )),
+            max_iterations=raw.get("maxIterations", MAX_ITERATIONS),
         )
 
     def to_json(self) -> str:
@@ -334,7 +334,7 @@ class ExperimentSpec:
             "trials": self.trials,
             "ensembleList": list(self.ensembles),
             "masterSeed": self.master_seed,
-            "solver": {"maxIterations": self.solver.max_iterations},
+            "solver": {"maxIterations": self.max_iterations},
         }
         return json.dumps(data, sort_keys=True, indent=2)
 
@@ -395,7 +395,7 @@ def _run_cell(spec: ExperimentSpec, ensemble: str, axis_index: int) -> SweepRow:
             kind,
             sigma,
             seed,
-            spec.solver,
+            spec.max_iterations,
         )
         errors.append(outcome.rel_err)
         iterations.append(outcome.iterations)

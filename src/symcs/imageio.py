@@ -2,7 +2,8 @@
 
 The parser accepts the two portable graymap forms (ASCII ``P2`` and raw
 ``P5``) strictly: every malformed input raises PgmParseError carrying the
-byte offset of the offending content.  The writer emits ``P2`` only, in one
+byte offset of the offending content, and no raster larger than the bytes
+after its header is allocated.  The writer emits ``P2`` only, in one
 canonical form: maxval is always 255, each pixel row is one line with single
 spaces, and the 1x1 zero image is exactly ``P2\\n1 1\\n255\\n0\\n``.  Levels
 from files with a smaller maxval are kept as stored, not resampled.
@@ -148,6 +149,12 @@ def parse_pgm(data: bytes) -> GrayImage:
                 f"pixel {int(flat[bad])} above maxval {maxval}", scan.pos + bad
             )
         return GrayImage(pixels=flat.reshape(height, width).copy())
+    # each pixel takes at least one digit, so no raster outgrows the file
+    left = len(scan.data) - scan.pos
+    if left < count:
+        raise PgmParseError(
+            f"raster needs at least {count} bytes, found {left}", len(scan.data)
+        )
     values = np.empty(count, dtype=np.uint8)
     for i in range(count):
         scan.skip_separators(require=i > 0)

@@ -22,6 +22,9 @@ __all__ = [
     "sym_eigen_extremes",
 ]
 
+_JACOBI_TOL = 1e-12
+_JACOBI_SWEEPS = 50
+
 
 def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
     """Gram matrices of the columns indexed by ``support``.
@@ -37,9 +40,6 @@ def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
     support = np.asarray(support, dtype=np.int64)
     if support.ndim not in (1, 2):
         raise DimensionError("support must be a (k,) or (c, k) index array")
-    ordered = np.sort(support, axis=-1)
-    if np.any(ordered[..., 1:] == ordered[..., :-1]):
-        raise DimensionError("support has repeated indices")
     if isinstance(matrix, MeasurementMatrix):
         if matrix.signs is not None:
             cols = np.moveaxis(matrix.signs[:, support], 0, -1).astype(np.int64)
@@ -51,31 +51,28 @@ def gram_on_support(matrix, support: np.ndarray) -> np.ndarray:
     return (g + np.swapaxes(g, -1, -2)) / 2.0
 
 
-def soft_threshold(
-    values: np.ndarray, threshold: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Elementwise shrink toward zero: sign(v) * max(|v| - threshold, 0).
+def soft_threshold(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise shrink toward zero: sign(v) * max(|v| - 1, 0).
 
-    ``out``, a float64 array of the shape of ``values`` (``values`` itself
-    is allowed), receives the result; the arithmetic is the same either way.
+    The threshold is 1, the reciprocal of the fixed ADMM penalty.  ``out``,
+    a float64 array of the shape of ``values`` (``values`` itself is
+    allowed), receives the result; the arithmetic is the same either way.
     """
-    if threshold < 0:
-        raise DimensionError(f"threshold must be nonnegative, got {threshold}")
     values = np.asarray(values, dtype=np.float64)
     sign = np.sign(values)
     out = np.abs(values, out=out)
-    np.subtract(out, threshold, out=out)
+    np.subtract(out, 1.0, out=out)
     np.maximum(out, 0.0, out=out)
     return np.multiply(sign, out, out=out)
 
 
-def sym_eigen_extremes(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50):
+def sym_eigen_extremes(matrix: np.ndarray):
     """Smallest and largest eigenvalue of a symmetric matrix by cyclic Jacobi.
 
     Runs full sweeps of Jacobi rotations over the strict upper triangle until
-    the off-diagonal Frobenius norm drops below ``tol`` times the matrix
-    Frobenius norm (or is exactly zero).  Returns ``(lo, hi)``.  Raises
-    ConvergenceError if ``max_sweeps`` sweeps do not reach the tolerance.
+    the off-diagonal Frobenius norm drops below ``_JACOBI_TOL`` (1e-12) times
+    the matrix Frobenius norm (or is exactly zero).  Returns ``(lo, hi)``;
+    ConvergenceError if ``_JACOBI_SWEEPS`` (50) sweeps do not reach it.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -90,9 +87,9 @@ def sym_eigen_extremes(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
     if total == 0.0:
         return 0.0, 0.0
     mask = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = float(np.linalg.norm(a[mask]))
-        if off <= tol * total:
+        if off <= _JACOBI_TOL * total:
             diag = np.diag(a)
             return float(diag.min()), float(diag.max())
         for p in range(d - 1):
@@ -132,7 +129,7 @@ def sym_eigen_extremes(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int =
                     a[p, r] = a[r, p]
                     a[r, q] = grq + s * (grp - grq * tau)
                     a[q, r] = a[r, q]
-    raise ConvergenceError("Jacobi sweeps did not reach tolerance", max_sweeps)
+    raise ConvergenceError("Jacobi sweeps did not reach tolerance", _JACOBI_SWEEPS)
 
 
 def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ be produced in any language:
 * ``mix64`` is the splitmix-style finalizer
   ``z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
   z *= 0x94D049BB133111EB; z ^= z >> 31`` (all mod 2**64)
-* uniform doubles in ``[0, 1)`` take the top 53 bits: ``(u >> 11) * 2**-53``
+* a uniform double in ``[0, 1)`` takes the top 53 bits: ``(u >> 11) * 2**-53``
+  (the normal variates below build on it)
 * a sign is ``+1`` when the top bit of the draw is 0, else ``-1``
 * normal variates apply the Box-Muller transform to consecutive output pairs
   ``(u, u')``: with ``a = ((u >> 11) + 1) * 2**-53`` in ``(0, 1]`` and
@@ -118,10 +119,6 @@ class Stream:
         z *= np.uint64(_MULT2)
         z ^= z >> np.uint64(31)
         return z
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Doubles in [0, 1), one per output."""
-        return (self.raw(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def signs(self, count: int) -> np.ndarray:
         """Values in {+1, -1} as int8, one per output."""

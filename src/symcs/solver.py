@@ -29,14 +29,17 @@ first factorization rather than with this module, so a process that solves
 nothing never loads ``scipy.linalg``; a failed factorization raises
 ``numpy.linalg.LinAlgError``, the class scipy's ``LinAlgError`` is.
 
-The ADMM penalty is fixed at 1 and the stopping tolerances at ``PRIMAL_TOL``
-and ``DUAL_TOL`` (1e-7); ``SolverConfig`` holds only the iteration cap.  The
-final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6) relative slack.
+The ADMM penalty is fixed at 1, so the shrink is at 1, and the stopping
+tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one setting is
+the iteration cap, ``max_iterations`` (default ``MAX_ITERATIONS``, 5000).
+The final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6)
+relative slack.
 
 ``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
-brute-force enumeration (LP vertices, supports) at toy sizes; they share no
-iterate logic with the ADMM path, so the two routes can be compared as
-independent witnesses and are never merged.
+brute-force enumeration (LP vertices, supports) at toy sizes, to the fixed
+tolerance ``_ORACLE_TOL`` (1e-9); they share no iterate logic with the ADMM
+path, so the two routes can be compared as independent witnesses and are
+never merged.
 
 Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly at the bit level:
 every update (products with ``W``, soft thresholding, ball projection from a
@@ -58,8 +61,8 @@ from .linalg import soft_threshold, solve_spd
 __all__ = [
     "DUAL_TOL",
     "FEAS_TOL",
+    "MAX_ITERATIONS",
     "PRIMAL_TOL",
-    "SolverConfig",
     "SolverResult",
     "basis_pursuit",
     "bpdn",
@@ -72,17 +75,7 @@ __all__ = [
 PRIMAL_TOL = 1e-7
 DUAL_TOL = 1e-7
 FEAS_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The ADMM iteration cap; the default suits the experiment sizes used here."""
-
-    max_iterations: int = 5000
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
+MAX_ITERATIONS = 5000
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +137,7 @@ def _row_basis(matrix, shift: float):
     return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
 
 
-def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> SolverResult:
+def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -> SolverResult:
     """Minimize ``|x|_1`` subject to ``Ax = y`` by ADMM.
 
     The x-update is the exact projection onto the affine constraint set
@@ -155,7 +148,8 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     and no float copy of a sign matrix; the closing check builds one after
     ``W`` is released.
     """
-    cfg = config or SolverConfig()
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     n, width = shape(matrix)
     y = _check_rhs(n, y)
     try:
@@ -179,10 +173,10 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
     diff = np.empty(width)
     coef = np.empty(n)
     status = "max-iterations"
-    iterations = cfg.max_iterations
+    iterations = max_iterations
     primal = math.inf
     dual = math.inf
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         # x = v - W^T (W v) + particular with v = z - u: the projection
         np.subtract(z, u, out=diff)
         np.dot(basis, diff, out=coef)
@@ -191,11 +185,11 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
         x += particular
         # u + x is the shrink input and, less the new z, the next multiplier
         u += x
-        soft_threshold(u, 1.0, out=z_new)
+        soft_threshold(u, out=z_new)
         u -= z_new
         np.subtract(x, z_new, out=diff)
         primal = math.sqrt(diff.dot(diff))
-        if primal <= PRIMAL_TOL or it == cfg.max_iterations:
+        if primal <= PRIMAL_TOL or it == max_iterations:
             np.subtract(z_new, z, out=diff)
             dual = math.sqrt(diff.dot(diff))
             if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
@@ -216,7 +210,7 @@ def basis_pursuit(matrix, y: np.ndarray, config: SolverConfig | None = None) -> 
 
 
 def bpdn(
-    matrix, y: np.ndarray, epsilon: float, config: SolverConfig | None = None
+    matrix, y: np.ndarray, epsilon: float, max_iterations: int = MAX_ITERATIONS
 ) -> SolverResult:
     """Minimize ``|x|_1`` subject to ``|Ax - y|_2 <= epsilon`` by ADMM.
 
@@ -229,11 +223,12 @@ def bpdn(
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    cfg = config or SolverConfig()
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
     n, width = shape(matrix)
     y = _check_rhs(n, y)
     if epsilon == 0.0:
-        return basis_pursuit(matrix, y, cfg)
+        return basis_pursuit(matrix, y, max_iterations)
     if float(np.linalg.norm(y)) <= epsilon:
         return SolverResult(
             solution=np.zeros(width),
@@ -258,10 +253,10 @@ def bpdn(
     gap = np.empty(n)
     coef = np.empty(n)
     status = "max-iterations"
-    iterations = cfg.max_iterations
+    iterations = max_iterations
     primal = math.inf
     dual = math.inf
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(1, max_iterations + 1):
         # x = b - W^T (W b) with b = (z - u1) + A^T (w - u2): the Woodbury update
         np.subtract(w, u2, out=gap)
         np.dot(a.T, gap, out=rhs)
@@ -273,7 +268,7 @@ def bpdn(
         np.dot(a, x, out=ax)
         # x + u1 and Ax + u2 are the prox inputs and, less z and w, the multipliers
         u1 += x
-        soft_threshold(u1, 1.0, out=z_new)
+        soft_threshold(u1, out=z_new)
         u1 -= z_new
         u2 += ax
         # w is Ax + u2 projected onto the epsilon-ball around y
@@ -288,7 +283,7 @@ def bpdn(
         np.subtract(x, z_new, out=diff)
         np.subtract(ax, w_new, out=gap)
         primal = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(gap.dot(gap)))
-        if primal <= PRIMAL_TOL or it == cfg.max_iterations:
+        if primal <= PRIMAL_TOL or it == max_iterations:
             np.subtract(z_new, z, out=diff)
             np.subtract(w_new, w, out=gap)
             np.dot(a.T, gap, out=rhs)
@@ -327,20 +322,23 @@ def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) 
 
 
 _ORACLE_BASIS_CAP = 200_000
+# the oracles' fit and sign tolerance
+_ORACLE_TOL = 1e-9
 
 
-def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = False):
+def l1_oracle_small(matrix, y: np.ndarray, details: bool = False):
     """Exact l1 minimizer at toy sizes by LP vertex enumeration.
 
     Splits ``x`` into positive and negative parts, making the problem a
     linear program over ``[A, -A]`` with nonnegative variables, and visits
     every candidate vertex: supports of size ``rank(A)`` solved by least
-    squares, accepted when feasible to ``tol``.  Returns the optimal vertex,
-    breaking objective ties (within 1e-9) lexicographically.  With
-    ``details=True`` also returns ``{"objective", "optimal_vertices",
-    "unique"}`` where vertices count optima within 1e-7 of the best
-    objective and uniqueness means all of them agree with the winner to
-    1e-7.  Raises InfeasibleError when ``y`` is outside the row space.
+    squares, accepted when feasible to ``_ORACLE_TOL`` (1e-9) times
+    ``max(1, |y|_2)``.  Returns the optimal vertex, breaking objective ties
+    (within 1e-9) lexicographically.  With ``details=True`` also returns
+    ``{"objective", "optimal_vertices", "unique"}`` where vertices count
+    optima within 1e-7 of the best objective and uniqueness means all of
+    them agree with the winner to 1e-7.  Raises InfeasibleError when ``y``
+    is outside the row space.
     """
     a = dense(matrix)
     y = _check_rhs(a.shape[0], y)
@@ -348,7 +346,7 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
     stacked = np.hstack([a, -a])
     rank = int(np.linalg.matrix_rank(stacked))
     if rank == 0:
-        if float(np.linalg.norm(y)) <= tol:
+        if float(np.linalg.norm(y)) <= _ORACLE_TOL:
             x = np.zeros(width)
             return (x, {"objective": 0.0, "optimal_vertices": 1, "unique": True}) if details else x
         raise InfeasibleError("zero matrix cannot match a nonzero rhs")
@@ -357,7 +355,7 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
             f"{math.comb(2 * width, rank)} candidate supports; "
             f"the oracle cap is {_ORACLE_BASIS_CAP}"
         )
-    feas_cut = tol * max(1.0, float(np.linalg.norm(y)))
+    feas_cut = _ORACLE_TOL * max(1.0, float(np.linalg.norm(y)))
     lstsq_fit = np.linalg.lstsq(stacked, y, rcond=None)[0]
     if float(np.linalg.norm(stacked @ lstsq_fit - y)) > feas_cut:
         raise InfeasibleError("rhs lies outside the matrix row space")
@@ -367,9 +365,9 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
         coef, *_ = np.linalg.lstsq(cols, y, rcond=None)
         if float(np.linalg.norm(cols @ coef - y)) > feas_cut:
             continue
-        if coef.min() < -tol:
+        if coef.min() < -_ORACLE_TOL:
             continue
-        coef = np.where(coef < tol, 0.0, coef)
+        coef = np.where(coef < _ORACLE_TOL, 0.0, coef)
         x = np.zeros(width)
         for idx, val in zip(support, coef):
             if idx < width:
@@ -396,13 +394,14 @@ def l1_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9, details: bool = Fa
     }
 
 
-def l0_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def l0_oracle_small(matrix, y: np.ndarray) -> np.ndarray:
     """Sparsest exact fit at toy sizes by support enumeration.
 
     Visits supports in order of size then lexicographic position; each is fit
     through the in-package normal-equation solver and the first fit within
-    ``tol`` wins.  Singular supports are skipped.  Raises InfeasibleError
-    when no support up to the row count fits.
+    ``_ORACLE_TOL`` (1e-9) times ``max(1, |y|_2)`` wins.  Singular supports
+    are skipped.  Raises InfeasibleError when no support up to the row count
+    fits.
     """
     a = dense(matrix)
     y = _check_rhs(a.shape[0], y)
@@ -411,7 +410,7 @@ def l0_oracle_small(matrix, y: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise EnumerationTooLargeError(
             f"support enumeration over {width} columns; the oracle cap is 12"
         )
-    cut = tol * max(1.0, float(np.linalg.norm(y)))
+    cut = _ORACLE_TOL * max(1.0, float(np.linalg.norm(y)))
     if float(np.linalg.norm(y)) <= cut:
         return np.zeros(width)
     for size in range(1, min(n, width) + 1):

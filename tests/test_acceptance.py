@@ -38,7 +38,7 @@ from symcs.experiments import (
 from symcs.imageio import fixture_image, image_recover, synthetic_sparse_image, write_pgm
 from symcs.rip import delta2_coherence, delta_k_bruteforce, recovery_condition
 from symcs.rng import Stream, derive_seed
-from symcs.solver import SolverConfig, basis_pursuit, l0_oracle_small, l1_oracle_small
+from symcs.solver import basis_pursuit, l0_oracle_small, l1_oracle_small
 
 
 def _report(index: int, label: str, ok: bool, detail: str) -> None:
@@ -388,7 +388,6 @@ def test_07_planted_sparse_recovery_anchor_at_100_rows():
 
 
 def test_08_success_decays_with_sparsity_and_ensembles_agree():
-    config = SolverConfig(max_iterations=2500)
     trials = 100
 
     spec_k = ExperimentSpec(
@@ -399,7 +398,7 @@ def test_08_success_decays_with_sparsity_and_ensembles_agree():
         trials=trials,
         ensembles=("partial-symmetric-bernoulli",),
         master_seed=96,
-        solver=config,
+        max_iterations=2500,
     )
     rates = [row.success_rate for row in sweep(spec_k).rows]
     slack = 2.0 / trials
@@ -413,7 +412,7 @@ def test_08_success_decays_with_sparsity_and_ensembles_agree():
         trials=trials,
         ensembles=ensembles.ENSEMBLES,
         master_seed=96,
-        solver=config,
+        max_iterations=2500,
     )
     by_ensemble = {row.ensemble: row.success_rate for row in sweep(spec_all).rows}
     spread = max(by_ensemble.values()) - min(by_ensemble.values())

@@ -44,7 +44,9 @@ def test_gen_matrix_entries_file(capsys, tmp_path):
     )
     assert code == 0
     matrix = ensembles.gen_measurement("gaussian", 3, 5, 1)
-    assert path.read_text() == ensembles.entries_csv(matrix)
+    expected = io.StringIO()
+    ensembles.entries_csv(matrix, expected)
+    assert path.read_text() == expected.getvalue()
 
 
 def test_seed_resolution_order(capsys, monkeypatch):
@@ -312,7 +314,7 @@ def test_check_tails_matches_module(capsys):
         ["check-tails", "-N", "32", "-n", "8", "--eps", "0.5",
          "--trials", "50", "--seed", "5"],
     )
-    report = concentration.empirical_tail(32, 8, 0.5, 50, 5)
+    (report,) = concentration.empirical_tails(32, 8, [0.5], 50, 5)
     payload = json.loads(out)
     assert payload["upperFreq"] == report.upper_freq
     assert payload["lowerFreq"] == report.lower_freq
@@ -433,6 +435,7 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
          "'fixed', 'masterSeed', 'trials'] and stay within ['N', 'axis', 'axisValues', "
          "'ensembleList', 'fixed', 'masterSeed', 'solver', 'trials']"),
         ({"solver": {"maxIterations": "5"}}, "solver maxIterations must be an integer, got '5'"),
+        ({"solver": {"maxIterations": 0}}, "max_iterations must be positive, got 0"),
         ({"solver": {"penalty": None}}, "solver keys must stay within ['maxIterations']"),
         ({"solver": {"maxIterations": 50, "primalTol": 1e-6}},
          "solver keys must stay within ['maxIterations']"),
@@ -442,7 +445,8 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
     ids=["axis-value-null", "axis-value-infinity", "axis-value-fraction",
          "axis-value-integral-float", "fixed-n-null", "fixed-n-fraction",
          "n-axis-value-fraction", "fixed-k-fraction", "sigma-axis-value-null",
-         "fixed-sigma-nan", "success-tol-null", "max-iterations-string", "penalty-null",
+         "fixed-sigma-nan", "success-tol-null", "max-iterations-string", "max-iterations-zero",
+         "penalty-null",
          "primal-tol", "fixed-not-object", "axis-values-not-list"],
 )
 def test_sweep_rejects_malformed_spec_values(capsys, tmp_path, change, message):
@@ -507,6 +511,17 @@ def test_image_demo_rejects_malformed_input(capsys, tmp_path):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_image_demo_sizes_a_p2_raster_before_allocating_it(capsys, tmp_path):
+    # 25 bytes whose header asks for a 2**40-pixel raster
+    bad = tmp_path / "huge.pgm"
+    bad.write_bytes(b"P2\n1048576 1048576\n255\n0\n")
+    code, out, err = run_cli(capsys, ["image-demo", "--input", str(bad), "-n", "4"])
+    assert code == 2
+    assert out == ""
+    assert "raster needs at least 1099511627776 bytes, found 3 (byte 25)" in err
+    assert "out of memory" not in err
 
 
 def test_reused_parser_keeps_calls_independent(capsys, monkeypatch, tmp_path):

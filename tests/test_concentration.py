@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from symcs.concentration import (
     DistortionReport,
     TailCheckReport,
-    empirical_tail,
     empirical_tails,
     jl_measurement_bound,
     jl_min_measurements,
@@ -181,7 +180,7 @@ def test_empirical_tails_counts_match_direct_recount():
 
 
 def test_empirical_tail_singleton_matches_batch():
-    single = empirical_tail(32, 8, 0.25, 60, 5)
+    (single,) = empirical_tails(32, 8, [0.25], 60, 5)
     batch = empirical_tails(32, 8, [0.25, 0.6], 60, 5)[0]
     assert single == batch
 

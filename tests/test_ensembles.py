@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -154,11 +155,53 @@ def test_descriptor_rejects_wrong_scale():
 
 def test_entries_csv_parses_back_exactly():
     matrix = ens.gen_measurement("partial-symmetric-bernoulli", 3, 6, 5)
-    text = ens.entries_csv(matrix)
+    handle = io.StringIO()
+    ens.entries_csv(matrix, handle)
+    text = handle.getvalue()
     parsed = np.array(
         [[float(v) for v in line.split(",")] for line in text.strip().split("\n")]
     )
     assert np.array_equal(parsed, matrix.entries)
+
+
+@pytest.mark.parametrize("name", ens.ENSEMBLES)
+def test_entries_csv_writes_each_row_as_it_is_formatted(name):
+    matrix = ens.gen_measurement(name, 4, 7, 2)
+    writes = []
+
+    class Handle:
+        def write(self, text):
+            writes.append(text)
+
+    ens.entries_csv(matrix, Handle())
+    assert len(writes) == 4
+    # the bytes of the whole-string form it replaced
+    lines = [",".join(repr(float(v)) for v in row) for row in matrix.entries]
+    assert "".join(writes) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ens.ENSEMBLES)
+def test_frozen_matrix_cannot_be_written_through_its_arrays(name):
+    matrix = ens.gen_measurement(name, 2, 4, 0)
+    before = matrix.entries.copy()
+    if matrix.signs is None:
+        with pytest.raises(ValueError):
+            matrix.entries[0, 0] = 99.0
+    else:
+        # a sign ensemble's entries are a fresh copy, the caller's to write
+        matrix.entries[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            matrix.signs[0, 0] = 3
+    again = ens.descriptor_from_json(matrix.descriptor_json())
+    assert matrix.entries.tobytes() == before.tobytes() == again.entries.tobytes()
+
+
+def test_frozen_matrix_leaves_the_callers_array_writable():
+    entries = np.zeros((2, 3))
+    signs = np.ones((2, 3), dtype=np.int8)
+    ens.MeasurementMatrix("gaussian", 2, 3, 0, scale=1.0, entries=entries)
+    ens.MeasurementMatrix("iid-bernoulli", 2, 3, 0, scale=1.0, signs=signs)
+    assert entries.flags.writeable and signs.flags.writeable
 
 
 @pytest.mark.parametrize("name", ["partial-symmetric-bernoulli", "iid-bernoulli"])

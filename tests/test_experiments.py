@@ -24,7 +24,7 @@ from symcs.experiments import (
     sweep,
 )
 from symcs.rng import Stream, derive_seed
-from symcs.solver import SolverConfig, basis_pursuit, bpdn
+from symcs.solver import basis_pursuit, bpdn
 
 
 def small_spec(**overrides):
@@ -210,7 +210,7 @@ def test_spec_accepts_numpy_integer_counts():
 
 
 def test_spec_json_roundtrip_is_canonical():
-    spec = small_spec(solver=SolverConfig(max_iterations=2500))
+    spec = small_spec(max_iterations=2500)
     text = spec.to_json()
     again = ExperimentSpec.from_json(text)
     assert again == spec

@@ -72,6 +72,10 @@ PARSE_ERRORS = [
     (b"P2\n1 1\n255\n0\n7\n", "trailing content after pixels", 13),
     (b"P2\n2 1\n255\n00", "expected whitespace", 13),
     (b"P2\n2 1\n255\n0\n", "unexpected end", 13),
+    # a P2 raster is sized against the bytes left before it is allocated
+    (b"P2\n1048576 1048576\n255\n0\n",
+     "raster needs at least 1099511627776 bytes, found 3", 25),
+    (b"P2\n5 1\n255\n0 1", "raster needs at least 5 bytes, found 4", 14),
 ]
 
 

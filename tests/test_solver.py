@@ -27,8 +27,8 @@ from symcs.experiments import plant_signal
 from symcs.rng import Stream, derive_seed
 from symcs.solver import (
     DUAL_TOL,
+    MAX_ITERATIONS,
     PRIMAL_TOL,
-    SolverConfig,
     SolverResult,
     _row_basis,
     basis_pursuit,
@@ -96,7 +96,7 @@ def test_basis_pursuit_rank_deficient_draw_reports_no_projection():
 
 def test_basis_pursuit_max_iterations_status():
     mat, _, y = planted_instance(12, 20, 3, 3)
-    res = basis_pursuit(mat, y, SolverConfig(max_iterations=1))
+    res = basis_pursuit(mat, y, 1)
     assert res.status == "max-iterations"
     assert res.iterations == 1
 
@@ -241,13 +241,19 @@ def test_verify_solution_thresholds():
         verify_solution(a, np.array([1.0, 2.0]), np.array([1.0]))
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+def test_iteration_cap_validation():
+    mat, _, y = planted_instance(12, 20, 3, 3)
+    message = "max_iterations must be positive, got 0"
+    with pytest.raises(ValueError, match=message):
+        basis_pursuit(mat, y, 0)
+    with pytest.raises(ValueError, match=message):
+        bpdn(mat, y, 0.1, 0)
     # the penalty and the tolerances are constants, not settings
-    for name in ("penalty", "primal_tol", "dual_tol", "feas_tol"):
+    for name in ("penalty", "primal_tol", "dual_tol", "feas_tol", "config"):
         with pytest.raises(TypeError):
-            SolverConfig(**{name: 1.0})
+            basis_pursuit(mat, y, **{name: 1.0})
+        with pytest.raises(TypeError):
+            bpdn(mat, y, 0.1, **{name: 1.0})
 
 
 def test_solver_result_objective():
@@ -315,8 +321,8 @@ def test_row_basis_of_a_sign_matrix_matches_its_entries_bitwise(ensemble):
                     assert mine.tobytes() == theirs.tobytes()
         y = a @ Stream(rows).normals(width)
         for source in (a, fortran):
-            basis_pursuit(source, y, SolverConfig(max_iterations=3))
-            bpdn(source, y, 0.5 * float(np.linalg.norm(y)), SolverConfig(max_iterations=3))
+            basis_pursuit(source, y, 3)
+            bpdn(source, y, 0.5 * float(np.linalg.norm(y)), 3)
         # an array passed in is read, never overwritten
         assert a.tobytes() == before.tobytes()
         assert fortran.flags.f_contiguous and fortran.tobytes() == before.tobytes()
@@ -337,21 +343,21 @@ def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
         matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
         y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
         tracemalloc.reset_peak()
-        basis_pursuit(matrix, y, SolverConfig(max_iterations=20))
+        basis_pursuit(matrix, y, 20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * rows * width
 
 
-def expression_basis_pursuit(a, y, cfg):
+def expression_basis_pursuit(a, y, cap):
     """The ADMM loop of ``basis_pursuit`` written as plain array expressions."""
     lower = cholesky(a @ a.T, lower=True)
     basis = solve_triangular(lower, a, lower=True)
     particular = basis.T @ solve_triangular(lower, y, lower=True)
     z = u = x = np.zeros(a.shape[1])
-    status, iterations, primal, dual = "max-iterations", cfg.max_iterations, math.inf, math.inf
-    for it in range(1, cfg.max_iterations + 1):
+    status, iterations, primal, dual = "max-iterations", cap, math.inf, math.inf
+    for it in range(1, cap + 1):
         v = z - u
         x = v - basis.T @ (basis @ v) + particular
         z_old = z
@@ -365,7 +371,7 @@ def expression_basis_pursuit(a, y, cfg):
     return x, iterations, status, primal, dual
 
 
-def expression_bpdn(a, y, epsilon, cfg):
+def expression_bpdn(a, y, epsilon, cap):
     """The ADMM loop of ``bpdn`` written as plain array expressions.
 
     Returns the result and the number of iterations whose ``Ax + u2`` fell
@@ -377,8 +383,8 @@ def expression_bpdn(a, y, epsilon, cfg):
     basis = solve_triangular(lower, a, lower=True)
     z = u1 = x = np.zeros(width)
     w = u2 = np.zeros(n)
-    status, iterations, primal, dual = "max-iterations", cfg.max_iterations, math.inf, math.inf
-    for it in range(1, cfg.max_iterations + 1):
+    status, iterations, primal, dual = "max-iterations", cap, math.inf, math.inf
+    for it in range(1, cap + 1):
         b = (z - u1) + a.T @ (w - u2)
         x = b - basis.T @ (basis @ b)
         ax = a @ x
@@ -409,12 +415,12 @@ def frozen_case(name):
     gauss = gen_measurement("gaussian", 6, 6, 5)
     y_gauss = Stream(105).normals(6)
     cases = {
-        "bp-converged": (mat, y, None, SolverConfig()),
-        "bp-capped": (mat, y, None, SolverConfig(max_iterations=20)),
-        "bpdn-converged": (mat, y, eps, SolverConfig()),
-        "bpdn-capped": (mat, y, eps, SolverConfig(max_iterations=25)),
+        "bp-converged": (mat, y, None, MAX_ITERATIONS),
+        "bp-capped": (mat, y, None, 20),
+        "bpdn-converged": (mat, y, eps, MAX_ITERATIONS),
+        "bpdn-capped": (mat, y, eps, 25),
         "bpdn-ball-inactive": (
-            gauss, 10.0 * y_gauss, 5.0 * float(np.linalg.norm(y_gauss)), SolverConfig()
+            gauss, 10.0 * y_gauss, 5.0 * float(np.linalg.norm(y_gauss)), MAX_ITERATIONS
         ),
     }
     return cases[name]
@@ -450,13 +456,13 @@ FROZEN_RESULTS = {
 
 @pytest.mark.parametrize("name", sorted(FROZEN_RESULTS))
 def test_admm_results_are_frozen(name):
-    mat, y, epsilon, cfg = frozen_case(name)
+    mat, y, epsilon, cap = frozen_case(name)
     if epsilon is None:
-        res = basis_pursuit(mat, y, cfg)
-        expected = expression_basis_pursuit(mat.entries, y, cfg)
+        res = basis_pursuit(mat, y, cap)
+        expected = expression_basis_pursuit(mat.entries, y, cap)
     else:
-        res = bpdn(mat, y, epsilon, cfg)
-        expected, inside = expression_bpdn(mat.entries, y, epsilon, cfg)
+        res = bpdn(mat, y, epsilon, cap)
+        expected, inside = expression_bpdn(mat.entries, y, epsilon, cap)
         if name == "bpdn-ball-inactive":
             assert inside > 0
     got = fingerprint(res.solution, res.iterations, res.status,
