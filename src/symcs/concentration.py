@@ -165,8 +165,9 @@ def mgf_rhs_exact(dimension: int, rows: int, alpha: np.ndarray, h: float) -> flo
         )
     patterns = _row_enumeration(dimension)
     q = patterns.astype(np.float64) @ alpha / math.sqrt(dimension)
-    base = float(np.mean(np.exp(h * q * q)))
-    return base ** rows
+    base = np.mean(np.exp(h * q * q))
+    # numpy's power, so an overflow gives inf as mgf_lhs_exact's exponentials do
+    return float(base ** rows)
 
 
 def moment4_exact(dimension: int, alpha: np.ndarray) -> float:
@@ -198,13 +199,17 @@ def tail_bound(eps: float, rows: int) -> float:
     each tail on its own.  It does not bound ``P(|T-1| >= eps)``: at
     ``N = 2``, one row and ``alpha = (1, 1)/sqrt(2)``, ``|T-1| = 1`` always,
     so at ``eps = 0.75`` that probability is 1 against a bound of 0.932.
-    Trivial (at or above 1) once ``eps >= 3/2``.
+    Trivial (at or above 1) once ``eps >= 3/2``; ValueError once it
+    overflows a float.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if rows < 1:
         raise DimensionError(f"rows must be positive, got {rows}")
-    return math.exp(-(rows / 2.0) * (eps * eps / 2.0 - eps ** 3 / 3.0))
+    try:
+        return math.exp(-(rows / 2.0) * (eps * eps / 2.0 - eps ** 3 / 3.0))
+    except OverflowError:
+        raise ValueError(f"the tail bound at eps={eps}, rows={rows} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -255,6 +260,8 @@ def empirical_tails(
         raise DimensionError("need at least one eps value")
     if trials < 1:
         raise DimensionError(f"trials must be positive, got {trials}")
+    if not 1 <= rows <= dimension:
+        raise DimensionError(f"need 1 <= rows <= dimension, got {rows}, {dimension}")
     bounds = [tail_bound(eps, rows) for eps in eps_values]
     target = rows / dimension
     upper = [0] * len(eps_values)
@@ -291,6 +298,7 @@ def jl_measurement_bound(eps: float, beta: float, points: int) -> float:
     With at least this many rows, all pairwise squared distances of a set of
     ``points`` vectors are preserved to relative ``eps`` with probability at
     least ``1 - points**-beta``.  Natural logarithm; linear in ``ln(points)``.
+    ValueError when the count overflows a float.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -298,7 +306,11 @@ def jl_measurement_bound(eps: float, beta: float, points: int) -> float:
         raise ValueError(f"beta must be positive, got {beta}")
     if points < 2:
         raise DimensionError(f"need at least 2 points, got {points}")
-    return (4.0 + 2.0 * beta) / (eps * eps / 2.0 - eps ** 3 / 3.0) * math.log(points)
+    gap = eps * eps / 2.0 - eps ** 3 / 3.0
+    count = (4.0 + 2.0 * beta) / gap * math.log(points) if gap > 0.0 else math.inf
+    if count == math.inf:
+        raise ValueError(f"the row count at eps={eps}, beta={beta} overflows a float")
+    return count
 
 
 def jl_min_measurements(eps: float, beta: float, points: int) -> int:

@@ -64,6 +64,7 @@ __all__ = [
     "ENSEMBLES",
     "MAX_ENTRIES",
     "MeasurementMatrix",
+    "checked_int",
     "dense",
     "descriptor_from_json",
     "entries_csv",
@@ -97,7 +98,8 @@ class MeasurementMatrix:
     def __init__(self, ensemble, rows, dimension, seed, scale, entries=None, signs=None):
         if ensemble not in ENSEMBLES:
             raise DimensionError(f"unknown ensemble {ensemble!r}")
-        _check_shape(rows, dimension)
+        rows, dimension = _check_shape(rows, dimension)
+        seed = checked_int("seed", seed)
         if (entries is None) == (signs is None):
             raise DimensionError("give exactly one of entries and signs")
         if signs is None:
@@ -174,7 +176,7 @@ def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarra
     outputs that fills their upper-triangle entries; the entries left of the
     diagonal mirror the ``rows x rows`` block.
     """
-    _check_shape(rows, dimension)
+    rows, dimension = _check_shape(rows, dimension)
     draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
     signs = np.empty((rows, dimension), dtype=np.int8)
     start = 0
@@ -192,7 +194,7 @@ def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> Meas
     """Draw the named ensemble's ``rows x dimension`` measurement matrix."""
     if ensemble not in ENSEMBLES:
         raise DimensionError(f"unknown ensemble {ensemble!r}")
-    _check_shape(rows, dimension)
+    rows, dimension = _check_shape(rows, dimension)
     stream = Stream(seed)
     scale = rows ** -0.5
     signs = None
@@ -249,7 +251,7 @@ def descriptor_from_json(text: str) -> MeasurementMatrix:
         raise DimensionError(
             f"descriptor keys {sorted(data)} do not match {sorted(expected)}"
         )
-    _check_integer("seed", data["seed"])
+    checked_int("seed", data["seed"])
     matrix = gen_measurement(data["ensemble"], data["n"], data["N"], data["seed"])
     if matrix.scale != data["scale"]:
         raise DimensionError(
@@ -265,14 +267,16 @@ def entries_csv(matrix: MeasurementMatrix, handle) -> None:
         handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def _check_integer(name: str, value) -> None:
+def checked_int(name: str, value) -> int:
+    """``value`` as the Python int it holds if it is an integer (numpy's too), never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DimensionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _check_shape(rows: int, dimension: int) -> None:
-    _check_integer("rows", rows)
-    _check_integer("dimension", dimension)
+def _check_shape(rows: int, dimension: int) -> tuple:
+    rows = checked_int("rows", rows)
+    dimension = checked_int("dimension", dimension)
     if not 1 <= rows <= dimension:
         raise DimensionError(
             f"need 1 <= rows <= dimension, got {rows}, {dimension}"
@@ -281,3 +285,4 @@ def _check_shape(rows: int, dimension: int) -> None:
         raise DimensionError(
             f"{rows} x {dimension} is {rows * dimension} entries; the cap is {MAX_ENTRIES}"
         )
+    return rows, dimension

@@ -33,7 +33,7 @@ from typing import Final
 
 import numpy as np
 
-from .ensembles import ENSEMBLES, gen_measurement
+from .ensembles import ENSEMBLES, checked_int, gen_measurement
 from .errors import (
     ConvergenceError,
     DimensionError,
@@ -203,14 +203,17 @@ def run_trial(
 
 
 def _number(name: str, value, integer: bool = False):
-    """``value`` if it is a finite number (an integer when asked), never a bool."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, np.integer))
-        or (not integer and isinstance(value, float) and math.isfinite(value))
-    ):
-        kind = "an integer" if integer else "a finite number"
-        raise DimensionError(f"{name} must be {kind}, got {value!r}")
-    return value
+    """``value`` as a Python int (``checked_int`` when ``integer``), or as a finite float.
+
+    Ints and floats stay apart, so a sigma axis value ``0`` prints as ``0``.
+    """
+    if integer:
+        return checked_int(name, value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DimensionError(f"{name} must be a finite number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -234,12 +237,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # named as in the spec file; a float would reach range() as a TypeError
-        _number("solver maxIterations", self.max_iterations, integer=True)
+        for key, name in (("max_iterations", "solver maxIterations"), ("dimension", "N"),
+                          ("trials", "trials"), ("master_seed", "masterSeed")):
+            object.__setattr__(self, key, _number(name, getattr(self, key), integer=True))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        _number("N", self.dimension, integer=True)
-        _number("trials", self.trials, integer=True)
-        _number("masterSeed", self.master_seed, integer=True)
         if self.dimension < 1:
             raise DimensionError(f"dimension must be positive, got {self.dimension}")
         if self.axis not in ("n", "k", "sigma"):
@@ -271,11 +273,14 @@ class ExperimentSpec:
         if self.fixed.get("kind", "pm1") not in SIGNAL_KINDS:
             raise DimensionError(f"unknown signal kind {self.fixed.get('kind')!r}")
         # row counts and sparsities are integers; only sigma takes fractions
-        for value in self.axis_values:
-            _number("axisValues entry", value, self.axis != "sigma")
+        object.__setattr__(self, "axis_values", tuple(
+            _number("axisValues entry", value, self.axis != "sigma") for value in self.axis_values
+        ))
+        fixed = dict(self.fixed)
         for name in ("n", "k", "sigma"):
-            if name in self.fixed:
-                _number(f"fixed {name}", self.fixed[name], name != "sigma")
+            if name in fixed:
+                fixed[name] = _number(f"fixed {name}", fixed[name], name != "sigma")
+        object.__setattr__(self, "fixed", fixed)
         if self.fixed.get("sigma", 0.0) < 0.0:
             raise ValueError("fixed sigma must be nonnegative")
         for name in ("n", "k"):
@@ -431,16 +436,8 @@ def sweep(spec: ExperimentSpec) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
-def _axis_value_repr(value) -> str:
-    if isinstance(value, bool):
-        raise DimensionError("axis value cannot be a bool")
-    if isinstance(value, (int, np.integer)):
-        return repr(int(value))
-    return repr(float(value))
-
-
 def results_csv(result: SweepResult) -> str:
-    """Canonical CSV: fixed header, one row per cell, floats via repr."""
+    """Canonical CSV: fixed header, one row per cell, numbers via repr (a spec's ints stay ints)."""
     lines = [_CSV_HEADER]
     for row in result.rows:
         lines.append(
@@ -448,7 +445,7 @@ def results_csv(result: SweepResult) -> str:
                 [
                     row.ensemble,
                     row.axis,
-                    _axis_value_repr(row.axis_value),
+                    repr(row.axis_value),
                     repr(row.trials),
                     repr(row.successes),
                     repr(row.success_rate),

@@ -29,17 +29,18 @@ first factorization rather than with this module, so a process that solves
 nothing never loads ``scipy.linalg``; a failed factorization raises
 ``numpy.linalg.LinAlgError``, the class scipy's ``LinAlgError`` is.
 
-The ADMM penalty is fixed at 1, so the shrink is at 1, and the stopping
-tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one setting is
-the iteration cap, ``max_iterations`` (default ``MAX_ITERATIONS``, 5000).
-The final check, :func:`verify_solution`, allows ``FEAS_TOL`` (1e-6)
-relative slack.
+The ADMM penalty is fixed at 1, so ``soft_threshold`` shrinks at 1, and the
+stopping tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one
+setting is the iteration cap, ``max_iterations`` (default ``MAX_ITERATIONS``,
+5000).  The final check, :func:`verify_solution`, allows ``FEAS_TOL``
+(1e-6) relative slack.
 
 ``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
 brute-force enumeration (LP vertices, supports) at toy sizes, to the fixed
 tolerance ``_ORACLE_TOL`` (1e-9); they share no iterate logic with the ADMM
 path, so the two routes can be compared as independent witnesses and are
-never merged.
+never merged.  ``l0_oracle_small`` fits through ``solve_spd``, a hand-written
+Cholesky that uses no ``numpy.linalg`` or scipy solver.
 
 Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly at the bit level:
 every update (products with ``W``, soft thresholding, ball projection from a
@@ -56,7 +57,6 @@ import numpy as np
 
 from .ensembles import dense, shape
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
-from .linalg import soft_threshold, solve_spd
 
 __all__ = [
     "DUAL_TOL",
@@ -68,6 +68,8 @@ __all__ = [
     "bpdn",
     "l0_oracle_small",
     "l1_oracle_small",
+    "soft_threshold",
+    "solve_spd",
     "verify_solution",
 ]
 
@@ -109,6 +111,21 @@ def _check_rhs(rows: int, y: np.ndarray) -> np.ndarray:
         first = int(bad[0])
         raise DimensionError(f"measurement y[{first}] = {y[first]:.17g} is not finite")
     return y
+
+
+def soft_threshold(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise shrink toward zero: sign(v) * max(|v| - 1, 0).
+
+    The threshold is 1, the reciprocal of the fixed ADMM penalty.  ``out``,
+    a float64 array of the shape of ``values`` (``values`` itself is
+    allowed), receives the result; the arithmetic is the same either way.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    sign = np.sign(values)
+    out = np.abs(values, out=out)
+    np.subtract(out, 1.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(sign, out, out=out)
 
 
 def _row_basis(matrix, shift: float):
@@ -392,6 +409,48 @@ def l1_oracle_small(matrix, y: np.ndarray, details: bool = False):
         "optimal_vertices": len(distinct),
         "unique": len(distinct) == 1,
     }
+
+
+def solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` for symmetric positive definite ``matrix``.
+
+    Hand-rolled Cholesky with forward/back substitution and one step of
+    iterative refinement.  A pivot at or below ``1e-12 * max diagonal``
+    raises SingularMatrixError.
+    """
+    a = np.array(matrix, dtype=np.float64)
+    b = np.array(rhs, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {a.shape}")
+    d = a.shape[0]
+    if b.shape != (d,):
+        raise DimensionError(f"rhs shape {b.shape} does not match dimension {d}")
+    if d == 0:
+        return np.empty(0)
+    guard = 1e-12 * max(float(np.abs(np.diag(a)).max()), 1e-300)
+    lower = np.zeros((d, d))
+    for j in range(d):
+        pivot = a[j, j] - np.dot(lower[j, :j], lower[j, :j])
+        if pivot <= guard:
+            raise SingularMatrixError(f"pivot {pivot:.3e} at column {j}")
+        lower[j, j] = np.sqrt(pivot)
+        if j + 1 < d:
+            lower[j + 1 :, j] = (
+                a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
+            ) / lower[j, j]
+
+    def substitute(rhs_vec):
+        y = np.zeros(d)
+        for i in range(d):
+            y[i] = (rhs_vec[i] - np.dot(lower[i, :i], y[:i])) / lower[i, i]
+        x = np.zeros(d)
+        for i in range(d - 1, -1, -1):
+            x[i] = (y[i] - np.dot(lower[i + 1 :, i], x[i + 1 :])) / lower[i, i]
+        return x
+
+    x = substitute(b)
+    x = x + substitute(b - a @ x)
+    return x
 
 
 def l0_oracle_small(matrix, y: np.ndarray) -> np.ndarray:

@@ -108,6 +108,24 @@ def test_runtime_errors_exit_two(capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "the cap is 1000000" in err
+    # numeric flags out of range or beyond the float range: one error line,
+    # never a traceback, and no NaN or Infinity printed as a failed check
+    for argv in (
+        ["check-lemma21", "-N", "0", "-n", "1"],
+        ["check-lemma21", "-N", "0", "-n", "1", "--alpha", "axis"],
+        ["check-lemma21", "-N", "3", "-n", "3", "--h", "inf"],
+        ["check-lemma21", "-N", "3", "-n", "3", "--h", "nan"],
+        ["check-lemma21", "-N", "3", "-n", "3", "--h", "1000", "--alpha", "axis"],
+        ["check-lemma21", "-N", "3", "-n", "3", "--h=-inf"],
+        ["jl-size", "--eps", "1e-200", "--beta", "1", "--points", "100"],
+        ["jl-size", "--eps", "0.5", "--beta", "inf", "--points", "100"],
+        ["check-tails", "-N", "16", "-n", "8", "--eps", "1000", "--trials", "5"],
+        ["check-tails", "-N", "16", "-n", "8", "--eps", "inf", "--trials", "5"],
+        ["check-tails", "-N", "0", "-n", "1", "--eps", "0.5", "--trials", "5"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_size_over_the_cap_exits_two_before_allocating(capsys, tmp_path):

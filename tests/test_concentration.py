@@ -91,6 +91,14 @@ def test_row_transform_dominated_by_analytic_bound():
                 assert value <= bound + 1e-12
 
 
+def test_both_transforms_overflow_to_infinity():
+    # E exp(hS) at h = 1000 and an axis alpha is exp(1000) on either route
+    alpha = np.eye(3)[0]
+    with np.errstate(over="ignore"):
+        assert mgf_lhs_exact(3, 3, alpha, 1000.0) == math.inf
+        assert mgf_rhs_exact(3, 3, alpha, 1000.0) == math.inf
+
+
 def test_row_mgf_bound_domain():
     assert row_mgf_bound(0.5, 4) == pytest.approx((1.0 - 0.25) ** -0.5, rel=1e-15)
     with pytest.raises(ValueError):
@@ -128,6 +136,10 @@ def test_tail_bound_shape():
         tail_bound(0.0, 10)
     with pytest.raises(DimensionError):
         tail_bound(0.3, 0)
+    # an infinite eps, or one whose bound overflows, is a ValueError
+    for eps in (math.inf, 1000.0, 1e300):
+        with pytest.raises(ValueError):
+            tail_bound(eps, 8)
 
 
 def test_tail_bound_holds_per_tail_not_for_both_tails_together():
@@ -233,6 +245,10 @@ def test_jl_bound_rejects_bad_arguments():
         jl_measurement_bound(0.5, 0.0, 10)
     with pytest.raises(DimensionError):
         jl_measurement_bound(0.5, 1.0, 1)
+    # counts beyond the float range: eps**2/2 - eps**3/3 underflows, or beta is infinite
+    for eps, beta in ((1e-200, 1.0), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="overflows a float"):
+            jl_measurement_bound(eps, beta, 100)
 
 
 def test_pairwise_distortion_frozen_report():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from symcs import ensembles as ens
 from symcs.concentration import pairwise_distortion
 from symcs.errors import DimensionError
-from symcs.linalg import gram_on_support
-from symcs.rip import delta2_coherence, delta_k_bruteforce
+from symcs.rip import delta2_coherence, delta_k_bruteforce, gram_on_support
 from symcs.rng import Stream
 from symcs.solver import basis_pursuit, bpdn, l0_oracle_small, l1_oracle_small, verify_solution
 
@@ -131,6 +130,15 @@ def test_descriptor_json_round_trip_is_exact():
         assert set(data) == {"ensemble", "n", "N", "seed", "scale"}
         again = ens.descriptor_from_json(text)
         assert np.array_equal(matrix.entries, again.entries)
+
+
+def test_numpy_integer_draw_stores_the_python_ints_it_holds():
+    for name in ens.ENSEMBLES:
+        plain = ens.gen_measurement(name, 2, 3, 5)
+        shaped = ens.gen_measurement(name, np.int64(2), np.int64(3), np.int64(5))
+        assert shaped.descriptor_json() == plain.descriptor_json()
+        assert shaped.entries.tobytes() == plain.entries.tobytes()
+        assert [type(v) for v in (shaped.rows, shaped.dimension, shaped.seed)] == [int] * 3
 
 
 def test_descriptor_rejects_extra_or_missing_keys():

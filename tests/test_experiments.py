@@ -24,7 +24,7 @@ from symcs.experiments import (
     sweep,
 )
 from symcs.rng import Stream, derive_seed
-from symcs.solver import basis_pursuit, bpdn
+from symcs.solver import MAX_ITERATIONS, basis_pursuit, bpdn
 
 
 def small_spec(**overrides):
@@ -207,6 +207,23 @@ def test_spec_built_in_python_rejects_non_integer_counts(overrides, message):
 def test_spec_accepts_numpy_integer_counts():
     spec = small_spec(axis_values=(np.int64(2),), fixed={"n": np.int32(8)})
     assert spec.cell_params(spec.axis_values[0]) == (8, 2, 0.0, "pm1")
+    # numpy integers are stored as the Python ints they hold
+    plain = small_spec(axis_values=(2,), fixed={"n": 8})
+    assert spec == plain
+    assert spec.to_json() == plain.to_json()
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
+    assert results_json(sweep(spec)) == results_json(sweep(plain))
+    counts = small_spec(dimension=np.int64(16), trials=np.int16(3), master_seed=np.uint8(12),
+                        max_iterations=np.int64(MAX_ITERATIONS))
+    assert counts.to_json() == small_spec().to_json()
+
+
+def test_sigma_axis_keeps_ints_and_floats_apart():
+    spec = small_spec(axis="sigma", axis_values=(np.int64(0), 0, np.float64(0.5), 1.0),
+                      fixed={"n": 8, "k": 2}, trials=1, ensembles=("gaussian",))
+    assert [type(v) for v in spec.axis_values] == [int, int, float, float]
+    values = [line.split(",")[2] for line in results_csv(sweep(spec)).splitlines()[1:]]
+    assert values == ["0", "0", "0.5", "1.0"]
 
 
 def test_spec_json_roundtrip_is_canonical():

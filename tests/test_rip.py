@@ -15,17 +15,20 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcs import rip
 from symcs.ensembles import ENSEMBLES, MeasurementMatrix, gen_measurement, shape
 from symcs.errors import DimensionError, EnumerationTooLargeError
-from symcs.linalg import gram_on_support, sym_eigen_extremes
 from symcs.rng import Stream
 from symcs.rip import (
     RipEstimate,
     delta2_coherence,
     delta_k_bruteforce,
+    gram_on_support,
     recovery_condition,
+    sym_eigen_extremes,
 )
 
 
@@ -277,3 +280,82 @@ def test_recovery_condition_threshold():
     assert not recovery_condition(math.sqrt(2.0) - 1.0)
     with pytest.raises(ValueError):
         recovery_condition(-0.1)
+
+
+def _random_symmetric(rng, dim):
+    m = rng.normal(size=(dim, dim))
+    return (m + m.T) / 2.0
+
+
+def test_jacobi_two_by_two_exact():
+    lo, hi = sym_eigen_extremes(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert lo == 0.5
+    assert hi == 1.5
+
+
+def test_jacobi_singleton_and_zero():
+    assert sym_eigen_extremes(np.array([[3.5]])) == (3.5, 3.5)
+    assert sym_eigen_extremes(np.zeros((3, 3))) == (0.0, 0.0)
+
+
+def test_jacobi_diagonal_input():
+    lo, hi = sym_eigen_extremes(np.diag([2.0, -1.0, 7.0]))
+    assert (lo, hi) == (-1.0, 7.0)
+
+
+def test_jacobi_rejects_asymmetric():
+    with pytest.raises(DimensionError):
+        sym_eigen_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32))
+def test_jacobi_matches_library_eigensolver(dim, seed):
+    m = _random_symmetric(np.random.default_rng(seed), dim)
+    lo, hi = sym_eigen_extremes(m)
+    w = np.linalg.eigvalsh(m)
+    scale = max(1.0, float(np.abs(w).max()))
+    assert abs(lo - w[0]) <= 1e-10 * scale
+    assert abs(hi - w[-1]) <= 1e-10 * scale
+
+
+def test_gram_sign_path_has_exact_unit_diagonal():
+    matrix = gen_measurement("partial-symmetric-bernoulli", 100, 256, 1)
+    g = gram_on_support(matrix, np.arange(8))
+    assert np.all(np.diag(g) == 1.0)
+    assert np.array_equal(g, g.T)
+    # every entry is an integer dot over the row count
+    dots = g * 100
+    assert np.allclose(dots, np.rint(dots), atol=1e-9)
+
+
+def test_gram_float_path_matches_sign_path():
+    matrix = gen_measurement("partial-symmetric-bernoulli", 50, 64, 3)
+    support = np.array([0, 5, 9, 33])
+    exact = gram_on_support(matrix, support)
+    plain = gram_on_support(matrix.entries, support)
+    assert np.allclose(exact, plain, atol=1e-12)
+    assert np.array_equal(plain, plain.T)
+
+
+def test_stacked_gram_equals_per_support_grams_bitwise():
+    matrix = gen_measurement("partial-symmetric-bernoulli", 12, 24, 4)
+    supports = np.array([[0, 1, 2, 3], [5, 9, 17, 23], [23, 2, 11, 7], [4, 6, 8, 10]])
+    stacked = gram_on_support(matrix, supports)
+    assert stacked.shape == (4, 4, 4)
+    for support, gram in zip(supports, stacked):
+        assert gram.tobytes() == gram_on_support(matrix, support).tobytes()
+
+
+def test_gram_rejects_a_support_array_of_three_dimensions():
+    matrix = gen_measurement("gaussian", 4, 6, 0)
+    with pytest.raises(DimensionError):
+        gram_on_support(matrix, np.zeros((1, 1, 1), dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["partial-symmetric-bernoulli", "gaussian"])
+def test_gram_of_a_repeated_index_is_singular(name):
+    # a repeated column is well defined: its Gram has two equal rows
+    matrix = gen_measurement(name, 4, 6, 0)
+    g = gram_on_support(matrix, np.array([[0, 1], [2, 2]]))
+    assert g[1].tobytes() == np.full((2, 2), g[1, 0, 0]).tobytes()

@@ -22,6 +22,7 @@ from symcs.errors import (
     DimensionError,
     EnumerationTooLargeError,
     InfeasibleError,
+    SingularMatrixError,
 )
 from symcs.experiments import plant_signal
 from symcs.rng import Stream, derive_seed
@@ -35,6 +36,8 @@ from symcs.solver import (
     bpdn,
     l0_oracle_small,
     l1_oracle_small,
+    soft_threshold,
+    solve_spd,
     verify_solution,
 )
 
@@ -472,3 +475,54 @@ def test_admm_results_are_frozen(name):
     if fingerprint(*expected) != FROZEN_RESULTS[name]:
         pytest.skip("this BLAS rounds differently from the build the digests come from")
     assert got == FROZEN_RESULTS[name]
+
+
+def test_soft_threshold_known_values():
+    out = soft_threshold(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
+    assert np.array_equal(out, np.array([-1.0, -0.0, 0.0, 0.0, 1.0]))
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+def test_soft_threshold_properties(values):
+    v = np.array(values)
+    out = soft_threshold(v)
+    assert np.all(np.abs(out) == np.maximum(np.abs(v) - 1.0, 0.0))
+    assert np.all(out * v >= 0.0)
+
+
+def test_soft_threshold_out_keeps_the_arithmetic():
+    values = np.array([-2.0, -1.0, -0.5, -0.0, 0.0, -1e-300, 1e-300, 0.5, 1.0, 3.25])
+    expected = (np.sign(values) * np.maximum(np.abs(values) - 1.0, 0.0)).tobytes()
+    assert soft_threshold(values).tobytes() == expected
+    out = np.full_like(values, np.nan)
+    assert soft_threshold(values, out=out) is out
+    assert out.tobytes() == expected
+    same = values.copy()
+    assert soft_threshold(same, out=same) is same
+    assert same.tobytes() == expected
+    # -0.0 in gives +0.0 out; a negative entry shrunk to zero gives -0.0
+    zeros = np.array([-0.0, 0.0, -0.25])
+    assert soft_threshold(zeros, out=zeros).tobytes() == np.array(
+        [0.0, 0.0, -0.0]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32))
+def test_solve_spd_matches_library_solver(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    spd = a @ a.T + dim * np.eye(dim)
+    b = rng.normal(size=dim)
+    x = solve_spd(spd, b)
+    assert np.allclose(x, np.linalg.solve(spd, b), atol=1e-9, rtol=1e-9)
+
+
+def test_solve_spd_rejects_singular_and_indefinite():
+    with pytest.raises(SingularMatrixError):
+        solve_spd(np.zeros((2, 2)), np.ones(2))
+    with pytest.raises(SingularMatrixError):
+        solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+
+def test_solve_spd_empty_system():
+    assert solve_spd(np.zeros((0, 0)), np.zeros(0)).size == 0
