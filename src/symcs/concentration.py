@@ -63,8 +63,7 @@ def q_statistics(signs: np.ndarray, alpha: np.ndarray):
     signs = np.asarray(signs)
     if signs.ndim != 2 or not 1 <= signs.shape[0] <= signs.shape[1]:
         raise DimensionError(f"need an n x N row block with 1 <= n <= N, got {signs.shape}")
-    alpha = _check_alpha(alpha, signs.shape[1])
-    values = (signs.astype(np.float64) @ alpha) / math.sqrt(signs.shape[1])
+    values = _row_statistics(signs, _check_alpha(alpha, signs.shape[1]))
     return values, float(values @ values)
 
 
@@ -93,11 +92,8 @@ def _symmetric_enumeration(dimension: int) -> np.ndarray:
             f"{2**free} symmetric sign matrices at dimension {dimension}; "
             f"the enumeration cap is 2**{_MAX_FREE_BITS}"
         )
-    count = 1 << free
-    codes = np.arange(count, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(free, dtype=np.int64)[None, :]) & 1
-    vals = (2 * bits - 1).astype(np.int8)
-    mats = np.zeros((count, dimension, dimension), dtype=np.int8)
+    vals = _sign_patterns(free)
+    mats = np.zeros((len(vals), dimension, dimension), dtype=np.int8)
     iu = np.triu_indices(dimension)
     mats[:, iu[0], iu[1]] = vals
     il = np.tril_indices(dimension, k=-1)
@@ -114,9 +110,7 @@ def _row_enumeration(dimension: int) -> np.ndarray:
             f"{2**dimension} sign rows at dimension {dimension}; "
             f"the enumeration cap is 2**{_MAX_ROW_BITS}"
         )
-    codes = np.arange(1 << dimension, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(dimension, dtype=np.int64)[None, :]) & 1
-    rows = (2 * bits - 1).astype(np.int8)
+    rows = _sign_patterns(dimension)
     rows.setflags(write=False)
     return rows
 
@@ -133,12 +127,8 @@ def mgf_lhs_exact(dimension: int, rows: int, alpha: np.ndarray, h: float) -> flo
     symmetric matrix is marginally a uniform sign row.
     """
     alpha = _check_alpha(alpha, dimension)
-    if not 1 <= rows <= dimension:
-        raise DimensionError(
-            f"need 1 <= rows <= dimension, got {rows}, {dimension}"
-        )
-    mats = _symmetric_enumeration(dimension)
-    q = mats[:, :rows, :].astype(np.float64) @ alpha / math.sqrt(dimension)
+    _check_rows(rows, dimension)
+    q = _row_statistics(_symmetric_enumeration(dimension)[:, :rows, :], alpha)
     s = np.einsum("ij,ij->i", q, q)
     return float(np.mean(np.exp(h * s)))
 
@@ -159,12 +149,8 @@ def mgf_rhs_exact(dimension: int, rows: int, alpha: np.ndarray, h: float) -> flo
     two routes are kept separate and compared, never merged.
     """
     alpha = _check_alpha(alpha, dimension)
-    if not 1 <= rows <= dimension:
-        raise DimensionError(
-            f"need 1 <= rows <= dimension, got {rows}, {dimension}"
-        )
-    patterns = _row_enumeration(dimension)
-    q = patterns.astype(np.float64) @ alpha / math.sqrt(dimension)
+    _check_rows(rows, dimension)
+    q = _row_statistics(_row_enumeration(dimension), alpha)
     base = np.mean(np.exp(h * q * q))
     # numpy's power, so an overflow gives inf as mgf_lhs_exact's exponentials do
     return float(base ** rows)
@@ -172,9 +158,7 @@ def mgf_rhs_exact(dimension: int, rows: int, alpha: np.ndarray, h: float) -> flo
 
 def moment4_exact(dimension: int, alpha: np.ndarray) -> float:
     """Exact ``E Q**4`` for one sign row, by enumeration of all row patterns."""
-    alpha = _check_alpha(alpha, dimension)
-    patterns = _row_enumeration(dimension)
-    q = patterns.astype(np.float64) @ alpha / math.sqrt(dimension)
+    q = _row_statistics(_row_enumeration(dimension), _check_alpha(alpha, dimension))
     return float(np.mean(q ** 4))
 
 
@@ -219,7 +203,8 @@ class TailCheckReport:
     ``upper_count`` trials had ``S >= (1+eps)*n/N`` and ``lower_count`` had
     ``S <= (1-eps)*n/N``.  ``slack_3se`` is three standard errors of a
     frequency sitting exactly at the bound, a natural pass margin for
-    ``freq <= bound + slack``.
+    ``freq <= bound + slack``.  A bound of 1 or more (``eps >= 3/2``) is met
+    by every frequency, and its slack is 0.
     """
 
     dimension: int
@@ -241,7 +226,8 @@ class TailCheckReport:
 
     @property
     def slack_3se(self) -> float:
-        return 3.0 * math.sqrt(self.bound * (1.0 - self.bound) / self.trials)
+        p = min(self.bound, 1.0)
+        return 3.0 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
 def empirical_tails(
@@ -260,8 +246,7 @@ def empirical_tails(
         raise DimensionError("need at least one eps value")
     if trials < 1:
         raise DimensionError(f"trials must be positive, got {trials}")
-    if not 1 <= rows <= dimension:
-        raise DimensionError(f"need 1 <= rows <= dimension, got {rows}, {dimension}")
+    _check_rows(rows, dimension)
     bounds = [tail_bound(eps, rows) for eps in eps_values]
     target = rows / dimension
     upper = [0] * len(eps_values)
@@ -374,6 +359,23 @@ def pairwise_distortion(matrix, points: np.ndarray, eps: float) -> DistortionRep
         min_ratio=float(ratios.min()) if ratios.size else math.nan,
         max_ratio=float(ratios.max()) if ratios.size else math.nan,
     )
+
+
+def _sign_patterns(length: int) -> np.ndarray:
+    """Every sign pattern of the given length as int8, shape (2**length, length)."""
+    codes = np.arange(1 << length, dtype=np.int64)
+    bits = (codes[:, None] >> np.arange(length, dtype=np.int64)[None, :]) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def _row_statistics(signs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``(M_j . alpha)/sqrt(N)`` along the last axis of a sign block."""
+    return signs.astype(np.float64) @ alpha / math.sqrt(signs.shape[-1])
+
+
+def _check_rows(rows: int, dimension: int) -> None:
+    if not 1 <= rows <= dimension:
+        raise DimensionError(f"need 1 <= rows <= dimension, got {rows}, {dimension}")
 
 
 def _check_alpha(alpha: np.ndarray, dimension: int) -> np.ndarray:

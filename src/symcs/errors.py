@@ -14,10 +14,6 @@ class EnumerationTooLargeError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iteration failed to converge within its cap."""
 
-    def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
-
 
 class SingularMatrixError(ValueError):
     """Matrix is singular, or not positive definite, for the requested solve."""

@@ -34,13 +34,7 @@ from typing import Final
 import numpy as np
 
 from .ensembles import ENSEMBLES, checked_int, gen_measurement
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    InfeasibleError,
-    SingularMatrixError,
-    UndefinedMetricError,
-)
+from .errors import DimensionError, UndefinedMetricError
 from .rng import Stream, derive_seed
 from .solver import MAX_ITERATIONS, basis_pursuit, bpdn
 
@@ -54,7 +48,8 @@ MAX_SPEC_TRIALS = 100_000
 
 SUCCESS_TOL = 1e-3
 
-_CSV_HEADER = "ensemble,axis,axis_value,trials,successes,success_rate,mean_rel_err,mean_iterations"
+_COLUMNS = ("ensemble", "axis", "axis_value", "trials", "successes", "success_rate",
+            "mean_rel_err", "mean_iterations")
 
 __all__ = [
     "EXACT_SNR",
@@ -66,7 +61,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "TrialOutcome",
-    "derive_seed",
     "mse",
     "plant_signal",
     "rel_err",
@@ -115,14 +109,20 @@ def plant_signal(dimension: int, sparsity: int, kind: str, seed: int) -> SparseS
     return SparseSignal(vector=vector, support=support, kind=kind)
 
 
-def rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Relative l2 error; undefined for a zero reference."""
+def _float_pair(estimate, reference):
+    """Both arguments as float64 arrays of one shape."""
     reference = np.asarray(reference, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if reference.shape != estimate.shape:
         raise DimensionError(
             f"shapes {estimate.shape} and {reference.shape} do not match"
         )
+    return estimate, reference
+
+
+def rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
+    """Relative l2 error; undefined for a zero reference."""
+    estimate, reference = _float_pair(estimate, reference)
     denom = float(np.linalg.norm(reference))
     if denom == 0.0:
         raise UndefinedMetricError("relative error against a zero reference")
@@ -131,12 +131,7 @@ def rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
 
 def mse(estimate: np.ndarray, reference: np.ndarray) -> float:
     """Mean squared entrywise error."""
-    reference = np.asarray(reference, dtype=np.float64)
-    estimate = np.asarray(estimate, dtype=np.float64)
-    if reference.shape != estimate.shape:
-        raise DimensionError(
-            f"shapes {estimate.shape} and {reference.shape} do not match"
-        )
+    estimate, reference = _float_pair(estimate, reference)
     gap = estimate - reference
     return float(np.mean(gap * gap))
 
@@ -171,35 +166,30 @@ def run_trial(
     """One planted recovery trial, fully determined by ``trial_seed``.
 
     Sub-seeds: label 0 draws the matrix, label 1 the signal, label 2 the
-    noise (consumed only when ``sigma > 0``).  A raising solve is recorded
-    as an infinite error rather than propagated, so sweeps always complete.
-    The solver is called positionally, as ``(matrix, y, max_iterations)`` or
-    ``(matrix, y, epsilon, max_iterations)``: the benchmark records each
-    solve by wrapping these two names with that signature.
+    noise (consumed only when ``sigma > 0``).  A solver error propagates,
+    through ``sweep`` too.  The solver is called positionally, as
+    ``(matrix, y, max_iterations)`` or ``(matrix, y, epsilon,
+    max_iterations)``: the benchmark records each solve by wrapping these
+    two names with that signature.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     matrix = gen_measurement(ensemble, rows, dimension, derive_seed(trial_seed, [0]))
     signal = plant_signal(dimension, sparsity, kind, derive_seed(trial_seed, [1]))
     y = matrix.entries @ signal.vector
-    try:
-        if sigma > 0.0:
-            noise = sigma * Stream(derive_seed(trial_seed, [2])).normals(rows)
-            y = y + noise
-            result = bpdn(matrix, y, float(np.linalg.norm(noise)), max_iterations)
-        else:
-            result = basis_pursuit(matrix, y, max_iterations)
-        error = rel_err(result.solution, signal.vector)
-        return TrialOutcome(
-            rel_err=error,
-            success=error <= SUCCESS_TOL,
-            iterations=result.iterations,
-            status=result.status,
-        )
-    except (ConvergenceError, SingularMatrixError, InfeasibleError, np.linalg.LinAlgError):
-        return TrialOutcome(
-            rel_err=math.inf, success=False, iterations=0, status="error"
-        )
+    if sigma > 0.0:
+        noise = sigma * Stream(derive_seed(trial_seed, [2])).normals(rows)
+        y = y + noise
+        result = bpdn(matrix, y, float(np.linalg.norm(noise)), max_iterations)
+    else:
+        result = basis_pursuit(matrix, y, max_iterations)
+    error = rel_err(result.solution, signal.vector)
+    return TrialOutcome(
+        rel_err=error,
+        success=error <= SUCCESS_TOL,
+        iterations=result.iterations,
+        status=result.status,
+    )
 
 
 def _number(name: str, value, integer: bool = False):
@@ -436,24 +426,18 @@ def sweep(spec: ExperimentSpec) -> SweepResult:
     return SweepResult(spec=spec, rows=tuple(rows))
 
 
+def _columns(row: SweepRow) -> dict:
+    """The fields the CSV and JSON share, in CSV column order."""
+    return {name: getattr(row, name) for name in _COLUMNS}
+
+
 def results_csv(result: SweepResult) -> str:
     """Canonical CSV: fixed header, one row per cell, numbers via repr (a spec's ints stay ints)."""
-    lines = [_CSV_HEADER]
+    lines = [",".join(_COLUMNS)]
     for row in result.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.ensemble,
-                    row.axis,
-                    repr(row.axis_value),
-                    repr(row.trials),
-                    repr(row.successes),
-                    repr(row.success_rate),
-                    repr(row.mean_rel_err),
-                    repr(row.mean_iterations),
-                ]
-            )
-        )
+        lines.append(",".join(
+            value if isinstance(value, str) else repr(value) for value in _columns(row).values()
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -461,16 +445,7 @@ def results_json(result: SweepResult) -> str:
     """JSON mirror of the CSV plus SNR aggregates for noisy rows."""
     rows = []
     for row in result.rows:
-        entry = {
-            "ensemble": row.ensemble,
-            "axis": row.axis,
-            "axis_value": row.axis_value,
-            "trials": row.trials,
-            "successes": row.successes,
-            "success_rate": row.success_rate,
-            "mean_rel_err": row.mean_rel_err,
-            "mean_iterations": row.mean_iterations,
-        }
+        entry = _columns(row)
         if row.exact_count is not None:
             entry["exact_count"] = row.exact_count
             entry["mean_snr_db"] = (

@@ -25,7 +25,6 @@ import numpy as np
 from .ensembles import gen_measurement
 from .errors import DimensionError, PgmParseError
 from .experiments import mse, rel_err, snr_db
-from .rng import Stream
 from .solver import basis_pursuit
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "parse_pgm",
     "pgm_bytes",
     "read_pgm",
-    "synthetic_sparse_image",
     "write_pgm",
 ]
 
@@ -223,22 +221,6 @@ def image_recover(
         iterations=result.iterations,
         status=result.status,
     )
-
-
-def synthetic_sparse_image(width: int, height: int, sparsity: int, seed: int) -> GrayImage:
-    """Image that is exactly ``sparsity``-sparse: random pixels in 1..255.
-
-    The support is a uniform subset of flat indices; each chosen pixel then
-    takes an independent uniform level in 1..255, in support order.
-    """
-    if width < 1 or height < 1:
-        raise DimensionError(f"image must be nonempty, got {width}x{height}")
-    stream = Stream(seed)
-    support = stream.sample_without_replacement(width * height, sparsity)
-    flat = np.zeros(width * height, dtype=np.uint8)
-    for idx in support:
-        flat[idx] = 1 + stream.below(255)
-    return GrayImage(pixels=flat.reshape(height, width))
 
 
 def fixture_image(name: str) -> GrayImage:

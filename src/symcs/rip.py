@@ -143,7 +143,9 @@ def sym_eigen_extremes(matrix: np.ndarray):
                     a[p, r] = a[r, p]
                     a[r, q] = grq + s * (grp - grq * tau)
                     a[q, r] = a[r, q]
-    raise ConvergenceError("Jacobi sweeps did not reach tolerance", _JACOBI_SWEEPS)
+    raise ConvergenceError(
+        f"Jacobi sweeps did not reach tolerance (after {_JACOBI_SWEEPS} iterations)"
+    )
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,6 @@ def rotl64(value: int, count: int) -> int:
     """Rotate a 64-bit integer left by ``count`` bits."""
     v = value & MASK64
     count &= 63
-    if count == 0:
-        return v
     return ((v << count) | (v >> (64 - count))) & MASK64
 
 
@@ -130,8 +128,6 @@ class Stream:
         """Standard normal variates via pairwise Box-Muller (see module doc)."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
         pairs = (count + 1) // 2
         r = self.raw(2 * pairs)
         a = ((r[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53

@@ -35,10 +35,11 @@ from symcs.experiments import (
     snr_db,
     sweep,
 )
-from symcs.imageio import fixture_image, image_recover, synthetic_sparse_image, write_pgm
+from symcs.imageio import fixture_image, image_recover, write_pgm
 from symcs.rip import delta2_coherence, delta_k_bruteforce, recovery_condition
 from symcs.rng import Stream, derive_seed
 from symcs.solver import basis_pursuit, l0_oracle_small, l1_oracle_small
+from synthetic_images import synthetic_sparse_image
 
 
 def _report(index: int, label: str, ok: bool, detail: str) -> None:

@@ -14,6 +14,7 @@ import pytest
 import symcs
 from symcs import cli, concentration, ensembles, experiments, imageio, rip, solver
 from symcs.cli import main
+from synthetic_images import synthetic_sparse_image
 
 
 def run_cli(capsys, argv):
@@ -347,6 +348,20 @@ def test_check_tails_matches_module(capsys):
     assert code == (0 if expected_pass else 2)
 
 
+def test_check_tails_above_three_halves_passes_trivially(capsys):
+    # the bound exceeds 1 above eps 3/2, so every frequency meets it
+    for eps in ("2", "3"):
+        code, out, _ = run_cli(
+            capsys,
+            ["check-tails", "-N", "16", "-n", "8", "--eps", eps, "--trials", "5", "--seed", "1"],
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["bound"] > 1.0
+        assert payload["slack"] == 0.0
+        assert payload["passed"] is True
+
+
 def test_jl_size_output(capsys):
     code, out, _ = run_cli(
         capsys, ["jl-size", "--eps", "0.5", "--beta", "1", "--points", "100"]
@@ -389,6 +404,16 @@ def test_sweep_stdout_and_files(capsys, tmp_path):
     assert out == ""
     assert csv_path.read_text() == experiments.results_csv(result)
     assert json_path.read_text() == experiments.results_json(result)
+
+
+def test_raising_solve_ends_sweep_with_exit_two(capsys, monkeypatch, tmp_path):
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular row-space system")
+
+    monkeypatch.setattr(experiments, "basis_pursuit", singular)
+    code, out, err = run_cli(capsys, ["sweep", "--spec", str(sweep_spec_file(tmp_path))])
+    assert (code, out) == (2, "")
+    assert err == "error: singular row-space system\n"
 
 
 def test_sweep_thread_count_does_not_change_output(capsys, tmp_path):
@@ -502,7 +527,7 @@ def test_sweep_bad_spec_exits_two(capsys, tmp_path):
 
 
 def test_image_demo_roundtrip(capsys, tmp_path):
-    img = imageio.synthetic_sparse_image(8, 8, 3, 5)
+    img = synthetic_sparse_image(8, 8, 3, 5)
     source = tmp_path / "in.pgm"
     imageio.write_pgm(img, source)
     out_path = tmp_path / "out.pgm"

@@ -367,6 +367,8 @@ def test_results_json_mirror_and_exact_marker():
     assert data["spec"] == json.loads(spec.to_json())
     assert [r["axis_value"] for r in data["rows"]] == [1, 2]
     assert "mean_snr_db" not in data["rows"][0]
+    # one column list: the CSV header names the noiseless JSON row's keys, which dump sorted
+    assert sorted(results_csv(result).split("\n")[0].split(",")) == list(data["rows"][0])
 
     synthetic = SweepResult(
         spec=spec,

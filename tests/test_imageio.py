@@ -17,9 +17,9 @@ from symcs.imageio import (
     parse_pgm,
     pgm_bytes,
     read_pgm,
-    synthetic_sparse_image,
     write_pgm,
 )
+from synthetic_images import synthetic_sparse_image
 
 
 def gray(rows):
