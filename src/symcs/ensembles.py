@@ -25,11 +25,11 @@ order (for the symmetric ensemble) or per entry in row-major order (for
 ``iid-bernoulli``).  The symmetric ensemble draws only its ``n`` rows: the
 prefix of ``n*N - n(n-1)/2`` outputs fills their upper-triangle entries and
 the ``n x n`` block is mirrored, so they equal the first ``n`` rows of the
-full matrix at the same seed.  Gaussian-family ensembles consume ``n * N``
-normal variates row-major; toeplitz and circulant draw the full source
-matrix and then read the entries they need, so the three share first rows at
-equal seeds.  Every ensemble checks ``n * N <= MAX_ENTRIES`` before it
-allocates anything.
+full matrix at the same seed.  The gaussian ensemble consumes ``n * N``
+normal variates row-major.  Toeplitz and circulant draw only the prefix of
+that source they read, its first ``N + n`` variates (a shorter normal draw
+is a prefix of a longer one), so the three share first rows at equal seeds.
+Every ensemble checks ``n * N <= MAX_ENTRIES`` before it allocates anything.
 
 A sign ensemble's matrix is its int8 signs and its scale, one byte an entry.
 Its float64 entries are never stored: each product that needs them builds a
@@ -211,22 +211,20 @@ def gen_measurement(ensemble: str, rows: int, dimension: int, seed: int) -> Meas
             scale=scale,
             signs=signs,
         )
-    source = stream.normals(rows * dimension)
-    first_row = source[:dimension]
     if ensemble == "gaussian":
-        vals = source.reshape(rows, dimension)
+        vals = stream.normals(rows * dimension).reshape(rows, dimension)
     else:
-        # imported here so that only a toeplitz or circulant draw loads scipy.linalg
-        from scipy.linalg import toeplitz
-
+        # `line` is the first column's entries rows-1..1, then the first row;
+        # row i is its window that starts i places before the first row
+        source = stream.normals(dimension + rows)
+        first_row = source[:dimension]
         if ensemble == "toeplitz":
-            # below the corner the first column is source row 1, entries 1..rows-1
-            first_col = np.concatenate((source[:1], source[dimension + 1 : dimension + rows]))
-            vals = toeplitz(first_col, first_row)
+            below = source[dimension + 1 : dimension + rows]  # source row 1, entries 1..rows-1
         else:
-            # a circulant is the toeplitz matrix whose first column is the first
-            # row read cyclically backwards: entry (i, j) is first_row[(j - i) % N]
-            vals = toeplitz(first_row[-np.arange(rows) % dimension], first_row)
+            # entry (i, j) of a circulant is first_row[(j - i) % N]
+            below = first_row[-np.arange(1, rows) % dimension]
+        line = np.concatenate((below[::-1], first_row))
+        vals = np.lib.stride_tricks.sliding_window_view(line, dimension)[::-1]
     return MeasurementMatrix(
         ensemble=ensemble,
         rows=rows,

@@ -80,10 +80,6 @@ class SparseSignal:
     support: np.ndarray
     kind: str
 
-    @property
-    def sparsity(self) -> int:
-        return int(self.support.size)
-
 
 def plant_signal(dimension: int, sparsity: int, kind: str, seed: int) -> SparseSignal:
     """Draw a sparse vector: a uniform support, then coefficients.
@@ -121,12 +117,15 @@ def _float_pair(estimate, reference):
 
 
 def rel_err(estimate: np.ndarray, reference: np.ndarray) -> float:
-    """Relative l2 error; undefined for a zero reference."""
+    """Relative l2 error; against a zero reference, 0 for an exact estimate and else undefined."""
     estimate, reference = _float_pair(estimate, reference)
     denom = float(np.linalg.norm(reference))
+    gap = float(np.linalg.norm(estimate - reference))
     if denom == 0.0:
+        if gap == 0.0:
+            return 0.0
         raise UndefinedMetricError("relative error against a zero reference")
-    return float(np.linalg.norm(estimate - reference)) / denom
+    return gap / denom
 
 
 def mse(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -192,18 +191,44 @@ def run_trial(
     )
 
 
-def _number(name: str, value, integer: bool = False):
-    """``value`` as a Python int (``checked_int`` when ``integer``), or as a finite float.
+# spec-file key of each ExperimentSpec field but the iteration cap, in the
+# order the fields are declared; the cap is the one nested key
+_SPEC_KEYS = {
+    "dimension": "N",
+    "axis": "axis",
+    "axis_values": "axisValues",
+    "fixed": "fixed",
+    "trials": "trials",
+    "ensembles": "ensembleList",
+    "master_seed": "masterSeed",
+}
+_CAP_KEY = ("solver", "maxIterations")
+
+
+def _check_keys(what: str, keys: set, required: set, allowed: set) -> None:
+    if not required <= keys <= allowed:
+        raise DimensionError(f"{what} keys {sorted(keys)} must cover {sorted(required)} and "
+                             f"stay within {sorted(allowed)}")
+
+
+def _cell_value(name: str, value, label: str, dimension: int):
+    """A cell's ``n`` or ``k`` as an int in ``[1, dimension]``, or its ``sigma``
+    as a finite number at least 0; ``label`` names the value in messages.
 
     Ints and floats stay apart, so a sigma axis value ``0`` prints as ``0``.
     """
-    if integer:
-        return checked_int(name, value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DimensionError(f"{name} must be a finite number, got {value!r}")
-    return int(value)
+    if name != "sigma":
+        value = checked_int(label, value)
+        if not 1 <= value <= dimension:
+            raise DimensionError(f"{label} {value} out of range for dimension {dimension}")
+        return value
+    finite = isinstance(value, float) and math.isfinite(value)
+    if not finite and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+        raise DimensionError(f"{label} must be a finite number, got {value!r}")
+    value = float(value) if finite else int(value)
+    if value < 0:
+        raise ValueError(f"{label} {value} is negative")
+    return value
 
 
 @dataclass(frozen=True)
@@ -226,10 +251,11 @@ class ExperimentSpec:
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self):
-        # named as in the spec file; a float would reach range() as a TypeError
-        for key, name in (("max_iterations", "solver maxIterations"), ("dimension", "N"),
-                          ("trials", "trials"), ("master_seed", "masterSeed")):
-            object.__setattr__(self, key, _number(name, getattr(self, key), integer=True))
+        # messages name values as the spec file does; a float count would
+        # reach range() as a TypeError
+        key = {**_SPEC_KEYS, "max_iterations": " ".join(_CAP_KEY)}
+        for field in ("max_iterations", "dimension", "trials", "master_seed"):
+            object.__setattr__(self, field, checked_int(key[field], getattr(self, field)))
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
         if self.dimension < 1:
@@ -237,110 +263,66 @@ class ExperimentSpec:
         if self.axis not in ("n", "k", "sigma"):
             raise DimensionError(f"axis must be n, k, or sigma, got {self.axis!r}")
         if not self.axis_values:
-            raise DimensionError("axisValues must be nonempty")
+            raise DimensionError(f"{key['axis_values']} must be nonempty")
         if self.trials < 1:
             raise DimensionError(f"trials must be positive, got {self.trials}")
         if not self.ensembles:
-            raise DimensionError("ensembleList must be nonempty")
+            raise DimensionError(f"{key['ensembles']} must be nonempty")
+        object.__setattr__(self, "ensembles", tuple(self.ensembles))
         for name in self.ensembles:
             if name not in ENSEMBLES:
                 raise DimensionError(f"unknown ensemble {name!r}")
         if len(set(self.ensembles)) != len(self.ensembles):
-            raise DimensionError("ensembleList has duplicates")
+            raise DimensionError(f"{key['ensembles']} has duplicates")
         total = self.trials * len(self.axis_values) * len(self.ensembles)
         if total > MAX_SPEC_TRIALS:
             raise DimensionError(
                 f"spec asks for {total} trials; the cap is {MAX_SPEC_TRIALS}"
             )
-        required = {"n": {"k"}, "k": {"n"}, "sigma": {"n", "k"}}[self.axis]
-        optional = {"kind"} if self.axis == "sigma" else {"kind", "sigma"}
-        keys = set(self.fixed)
-        if not required <= keys or not keys <= required | optional:
-            raise DimensionError(
-                f"fixed keys {sorted(keys)} must cover {sorted(required)} and "
-                f"stay within {sorted(required | optional)}"
-            )
+        # fixed must pin n and k and may pin sigma and kind, each unless it is the axis
+        axis = {self.axis}
+        _check_keys("fixed", set(self.fixed), {"n", "k"} - axis, {"n", "k", "sigma", "kind"} - axis)
         if self.fixed.get("kind", "pm1") not in SIGNAL_KINDS:
             raise DimensionError(f"unknown signal kind {self.fixed.get('kind')!r}")
-        # row counts and sparsities are integers; only sigma takes fractions
+        # the axis values first, then the pinned values, by one rule
         object.__setattr__(self, "axis_values", tuple(
-            _number("axisValues entry", value, self.axis != "sigma") for value in self.axis_values
+            _cell_value(self.axis, value, f"{key['axis_values']} entry", self.dimension)
+            for value in self.axis_values
         ))
-        fixed = dict(self.fixed)
-        for name in ("n", "k", "sigma"):
-            if name in fixed:
-                fixed[name] = _number(f"fixed {name}", fixed[name], name != "sigma")
-        object.__setattr__(self, "fixed", fixed)
-        if self.fixed.get("sigma", 0.0) < 0.0:
-            raise ValueError("fixed sigma must be nonnegative")
-        for name in ("n", "k"):
-            if name in self.fixed and not 1 <= self.fixed[name] <= self.dimension:
-                raise DimensionError(
-                    f"fixed {name}={self.fixed[name]} out of range for "
-                    f"dimension {self.dimension}"
-                )
-        for value in self.axis_values:
-            if self.axis == "sigma":
-                if value < 0.0:
-                    raise ValueError(f"sigma axis value {value} is negative")
-            elif not 1 <= value <= self.dimension:
-                raise DimensionError(
-                    f"{self.axis} axis value {value} out of range for "
-                    f"dimension {self.dimension}"
-                )
+        object.__setattr__(self, "fixed", {
+            name: value if name == "kind" else
+            _cell_value(name, value, f"fixed {name}", self.dimension)
+            for name, value in self.fixed.items()
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
         data = json.loads(text)
         if not isinstance(data, dict):
             raise DimensionError("spec must be a JSON object")
-        required = {"N", "axis", "axisValues", "fixed", "trials", "ensembleList", "masterSeed"}
-        optional = {"solver"}
-        keys = set(data)
-        if not required <= keys or not keys <= required | optional:
-            raise DimensionError(
-                f"spec keys {sorted(keys)} must cover {sorted(required)} and "
-                f"stay within {sorted(required | optional)}"
-            )
-        fixed, raw = data["fixed"], data.get("solver", {})
-        if not isinstance(raw, dict) or not set(raw) <= {"maxIterations"}:
-            raise DimensionError("solver keys must stay within ['maxIterations']")
-        if not isinstance(fixed, dict) or not all(
-            isinstance(data[key], list) for key in ("axisValues", "ensembleList")
-        ):
-            raise DimensionError("fixed must be an object, axisValues and ensembleList lists")
-        return cls(
-            dimension=data["N"],
-            axis=data["axis"],
-            axis_values=tuple(data["axisValues"]),
-            fixed=dict(fixed),
-            trials=data["trials"],
-            ensembles=tuple(data["ensembleList"]),
-            master_seed=data["masterSeed"],
-            max_iterations=raw.get("maxIterations", MAX_ITERATIONS),
-        )
+        solver, cap = _CAP_KEY
+        required = set(_SPEC_KEYS.values())
+        _check_keys("spec", set(data), required, required | {solver})
+        raw = data.get(solver, {})
+        if not isinstance(raw, dict) or not set(raw) <= {cap}:
+            raise DimensionError(f"{solver} keys must stay within {[cap]}")
+        fields = {field: data[key] for field, key in _SPEC_KEYS.items()}
+        if not isinstance(fields["fixed"], dict) or not all(
+                isinstance(fields[field], list) for field in ("axis_values", "ensembles")):
+            raise DimensionError("fixed must be an object, {axis_values} and {ensembles} lists"
+                                 .format_map(_SPEC_KEYS))
+        return cls(**fields, max_iterations=raw.get(cap, MAX_ITERATIONS))
 
     def to_json(self) -> str:
-        data = {
-            "N": self.dimension,
-            "axis": self.axis,
-            "axisValues": list(self.axis_values),
-            "fixed": self.fixed,
-            "trials": self.trials,
-            "ensembleList": list(self.ensembles),
-            "masterSeed": self.master_seed,
-            "solver": {"maxIterations": self.max_iterations},
-        }
+        solver, cap = _CAP_KEY
+        data = {key: getattr(self, field) for field, key in _SPEC_KEYS.items()}
+        data[solver] = {cap: self.max_iterations}
         return json.dumps(data, sort_keys=True, indent=2)
 
     def cell_params(self, value):
         """(rows, sparsity, sigma, kind) for one axis value."""
-        kind = self.fixed.get("kind", "pm1")
-        if self.axis == "n":
-            return int(value), int(self.fixed["k"]), float(self.fixed.get("sigma", 0.0)), kind
-        if self.axis == "k":
-            return int(self.fixed["n"]), int(value), float(self.fixed.get("sigma", 0.0)), kind
-        return int(self.fixed["n"]), int(self.fixed["k"]), float(value), kind
+        cell = {"kind": "pm1", "sigma": 0.0, **self.fixed, self.axis: value}
+        return cell["n"], cell["k"], float(cell["sigma"]), cell["kind"]
 
 
 @dataclass(frozen=True)

@@ -544,6 +544,13 @@ def test_image_demo_roundtrip(capsys, tmp_path):
     assert payload["exactImage"] is True
     assert payload["relErr"] <= 1e-6
     assert imageio.read_pgm(out_path) == img
+    # an all-zero image is recovered exactly, which relErr and snrDb report as such
+    zero = tmp_path / "zero.pgm"
+    zero.write_text("P2\n8 8\n255\n" + "0 " * 64 + "\n")
+    code, out, _ = run_cli(capsys, ["image-demo", "--input", str(zero), "-n", "16", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["relErr"], payload["snrDb"], payload["exactImage"]) == (0.0, "exact", True)
 
 
 def test_image_demo_rejects_malformed_input(capsys, tmp_path):

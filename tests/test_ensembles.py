@@ -191,6 +191,8 @@ def test_entries_csv_writes_each_row_as_it_is_formatted(name):
 @pytest.mark.parametrize("name", ens.ENSEMBLES)
 def test_frozen_matrix_cannot_be_written_through_its_arrays(name):
     matrix = ens.gen_measurement(name, 2, 4, 0)
+    # run_trial's product `entries @ x` rounds by the layout, so it stays C order
+    assert matrix.entries.flags.c_contiguous
     before = matrix.entries.copy()
     if matrix.signs is None:
         with pytest.raises(ValueError):

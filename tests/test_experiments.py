@@ -45,7 +45,7 @@ def test_plant_signal_frozen_pm1():
     sig = plant_signal(10, 3, "pm1", 5)
     assert sig.support.tolist() == [0, 8, 9]
     assert sig.vector.tolist() == [1.0, 0, 0, 0, 0, 0, 0, 0, 1.0, 1.0]
-    assert sig.sparsity == 3
+    assert sig.support.size == 3
     assert sig.kind == "pm1"
 
 
@@ -80,6 +80,7 @@ def test_error_metrics():
     assert rel_err(a, b) == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-15)
     assert mse(a, b) == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert rel_err(a, a) == 0.0
+    assert rel_err(np.zeros(3), np.zeros(3)) == 0.0
     with pytest.raises(UndefinedMetricError):
         rel_err(a, np.zeros(3))
     with pytest.raises(DimensionError):
@@ -167,8 +168,10 @@ def test_spec_validation_values():
         small_spec(ensembles=("gaussian", "nonsense"))
     with pytest.raises(DimensionError):
         small_spec(axis_values=(1, 17))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^axisValues entry -0\.5 is negative$"):
         small_spec(axis="sigma", axis_values=(-0.5,), fixed={"n": 8, "k": 2})
+    with pytest.raises(ValueError, match="^fixed sigma -1 is negative$"):
+        small_spec(axis="n", axis_values=(8,), fixed={"k": 2, "sigma": -1})
     with pytest.raises(DimensionError):
         small_spec(fixed={"n": 20})
 
@@ -191,11 +194,13 @@ def test_spec_validation_values():
         ({"trials": 2.5}, "trials must be an integer, got 2.5"),
         ({"dimension": 16.0}, "N must be an integer, got 16.0"),
         ({"master_seed": 12.5}, "masterSeed must be an integer, got 12.5"),
+        ({"axis_values": (1, 17)}, "axisValues entry 17 out of range for dimension 16"),
+        ({"fixed": {"n": 20}}, "fixed n 20 out of range for dimension 16"),
     ],
     ids=["axis-k-and-fixed-n-fractions", "fixed-n-fraction", "fixed-n-integral-float",
          "axis-n-fraction", "fixed-k-fraction", "axis-value-bool", "sigma-string",
          "fixed-sigma-nan", "trials-fraction", "dimension-integral-float",
-         "master-seed-fraction"],
+         "master-seed-fraction", "axis-k-out-of-range", "fixed-n-out-of-range"],
 )
 def test_spec_built_in_python_rejects_non_integer_counts(overrides, message):
     # the same rule as from_json: a fractional count is refused, not truncated

@@ -152,6 +152,10 @@ def test_odd_normal_count_consumes_full_pair():
     second = b.normals(4)
     assert a.position == b.position == 4
     assert np.array_equal(first, second[:3])
+    # pairs are consecutive outputs, so a shorter draw is a bitwise prefix of a longer one
+    longer = Stream(5).normals(11)
+    for count in range(11):
+        assert Stream(5).normals(count).tobytes() == longer[:count].tobytes()
 
 
 @given(st.integers(0, MASK64), st.lists(st.integers(0, 2**20), max_size=4))
