@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Final
 
@@ -213,7 +214,8 @@ def _check_keys(what: str, keys: set, required: set, allowed: set) -> None:
 
 def _cell_value(name: str, value, label: str, dimension: int):
     """A cell's ``n`` or ``k`` as an int in ``[1, dimension]``, or its ``sigma``
-    as a finite number at least 0; ``label`` names the value in messages.
+    as a finite number at least 0 (an int too, within the float range);
+    ``label`` names the value in messages.
 
     Ints and floats stay apart, so a sigma axis value ``0`` prints as ``0``.
     """
@@ -225,6 +227,10 @@ def _cell_value(name: str, value, label: str, dimension: int):
     finite = isinstance(value, float) and math.isfinite(value)
     if not finite and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
         raise DimensionError(f"{label} must be a finite number, got {value!r}")
+    if not finite and abs(value) > sys.float_info.max:
+        raise DimensionError(
+            f"{label} must be a finite number, got an integer beyond the float range"
+        )
     value = float(value) if finite else int(value)
     if value < 0:
         raise ValueError(f"{label} {value} is negative")

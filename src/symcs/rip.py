@@ -12,17 +12,27 @@ scan's LAPACK eigenvalues against it; it is never on the scan's path.
 The scan is an exact branch-and-bound.  Each support's deviation
 ``max(lambda_max - 1, 1 - lambda_min)`` is at most its Gram's Gershgorin
 bound ``b = max_i (|g_ii - 1| + sum_{j != i} |g_ij|)``, the largest row sum
-of ``|G - I|`` (``gram_on_support`` makes a sign ensemble's ``g_ii`` exactly
-1 by integer arithmetic and one division by the row count).  Eigenvalues are
+of ``|G - I|`` on the support.  Every bound comes from one Gram of the whole
+matrix, ``off = |G - I|``.  For a sign ensemble its entries are the integer
+dot products over the rows, divided once by the row count, that each
+support's Gram has (``gram_on_support`` makes ``g_ii`` exactly 1); for a
+float ensemble they differ from a support's own Gram by rounding only.  A
+support is a prefix of ``k-1`` columns plus a column ``c`` above it; the
+prefixes come in lexicographic chunks, each bounding its ``(prefix, c)``
+supports from the prefix's row sums, and that order is the supports'
+lexicographic order.  Before the pass ``worst`` is seeded by solving one
+greedy support per start column (grown by the column that adds the largest
+row sum), which usually attains the constant.  Eigenvalues are then
 computed only for supports with ``b >= worst - margin``, where ``worst`` is
 the largest deviation found so far and ``margin = 1e-9 * max(1, |worst|)``
-lies far above the rounding in ``b`` and in LAPACK's eigenvalues.  A support
-left out has a computed deviation below ``worst``, so it could neither raise
-``worst`` nor be the first support to attain it.  The stacked ``eigvalsh``
-calls LAPACK once per Gram, so a solved Gram's eigenvalues do not depend on
-which others are solved with it.  The constant, the worst support and the
-support count are therefore the ones a solve of every support gives, bit
-for bit.
+lies far above the rounding in ``b`` and in LAPACK's eigenvalues.  A
+support left out has a computed deviation below ``worst``, so it could
+neither raise ``worst`` nor be the first support to attain it.  A solved
+support's Gram is its own ``gram_on_support`` Gram, and the stacked
+``eigvalsh`` calls LAPACK once per Gram, so its eigenvalues do not depend on
+which others are solved with it.  The constant, the worst support (the
+lexicographically first to attain it) and the support count are therefore
+the ones a solve of every support gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +56,9 @@ __all__ = [
     "sym_eigen_extremes",
 ]
 
-# supports per chunk are sized so their gathered 8-byte columns fit here
-_CHUNK_BYTES = 2**18
+# a chunk of prefixes is sized so its (prefix, column) bounds fit here, and
+# a batch of solved supports so their gathered 8-byte columns do
+_CHUNK_BYTES = 2**16
 
 MAX_SUPPORTS = 1_000_000
 
@@ -158,21 +169,66 @@ class RipEstimate:
     supports_checked: int
 
 
+def _not_finite(support) -> DimensionError:
+    support = tuple(int(i) for i in support)
+    return DimensionError(f"the Gram on support {support} has a NaN or infinite entry or row sum")
+
+
+def _prefix_bounds(off: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """Gershgorin bounds of the supports that extend each prefix by one column.
+
+    ``off`` is ``|G - I|`` of the whole matrix's Gram and ``prefixes`` an
+    ``(m, k-1)`` index array with ``k >= 2``.  Entry ``[p, c]`` of the
+    ``(m, N)`` result is the largest row sum of ``off`` on the support
+    ``prefixes[p] + (c,)``: ``max(max_i (r_i + off[i, c]), off[c, c] + sum_i
+    off[i, c])`` over ``i`` in the prefix, where ``r_i`` is row ``i``'s sum
+    over the prefix.  Only entries with ``c`` above the prefix's last column
+    are supports.
+    """
+    bound = np.full((len(prefixes), len(off)), -np.inf)
+    col = np.repeat(np.diagonal(off)[None, :], len(prefixes), axis=0)
+    for i in range(prefixes.shape[1]):
+        off_i = off[prefixes[:, i]]
+        col += off_i
+        off_i += np.take_along_axis(off_i, prefixes, axis=1).sum(axis=1)[:, None]
+        np.maximum(bound, off_i, out=bound)
+    return np.maximum(bound, col, out=bound)
+
+
+def _greedy_supports(off: np.ndarray, order: int) -> np.ndarray:
+    """One sorted support per start column, grown by the column adding the largest row sum."""
+    n = len(off)
+    chosen = np.eye(n, dtype=bool)
+    gain = off + np.diagonal(off)
+    for _ in range(order - 1):
+        gain[chosen] = -np.inf
+        last = np.argmax(gain, axis=1)
+        chosen[np.arange(n), last] = True
+        gain += off[last]
+    return np.nonzero(chosen)[1].reshape(n, order)
+
+
 def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     """Order-k isometry constant over every size-k column support.
 
-    Supports are enumerated in lexicographic chunks; each chunk's Gram
-    matrices are built in one stacked ``gram_on_support`` call.  Their
-    Gershgorin bounds (the largest row sum of ``|G - I|``) are checked
-    finite, and one stacked ``numpy.linalg.eigvalsh`` solves the supports
-    whose bound reaches ``worst - 1e-9 * max(1, |worst|)``, ``worst`` being
-    the largest deviation so far; the first chunk is solved whole.  No
-    support left out could change the result, so the constant, the worst
-    support and ``supports_checked`` (every support, solved or bounded) are
-    those of solving them all.  The reported support is the first in
-    enumeration order that attains the constant.  Enumeration refuses to
-    start above ``MAX_SUPPORTS`` (1,000,000) supports; a Gram with a NaN or
-    infinite entry or bound raises DimensionError.
+    Every support is bounded from one Gram of the whole matrix: with ``off =
+    |G - I|``, a support's Gershgorin bound is the largest row sum of
+    ``off`` on it.  Supports are taken as a prefix of ``k-1`` columns in
+    lexicographic order plus a column above it, prefixes chunk by chunk so
+    a chunk's ``(prefix, column)`` bounds fit in ``_CHUNK_BYTES``.  Before
+    the pass, ``worst`` is seeded by solving one greedy support per start
+    column.  Then ``numpy.linalg.eigvalsh`` solves, in stacked batches of
+    ``gram_on_support`` Grams, each support whose bound reaches ``worst -
+    1e-9 * max(1, |worst|)``, ``worst`` being the largest deviation so far.
+    At order 1 a Gram ``[g]`` is its own eigenvalue and its bound ``|g -
+    1|`` its deviation, so every column is solved and no whole Gram is
+    built.  No support left out could change the result, so the constant,
+    the worst support and ``supports_checked`` (every support, solved or
+    bounded) are those of solving them all.  The reported support is the
+    lexicographically first that attains the constant.  Enumeration
+    refuses to start above ``MAX_SUPPORTS`` (1,000,000) supports; a Gram
+    with a NaN or infinite entry or bound raises DimensionError naming the
+    first such support.
     """
     rows, dimension = shape(matrix)
     if not 1 <= order <= dimension:
@@ -185,37 +241,48 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
             f"{total} supports of size {order} from {dimension} columns; "
             f"the cap is {MAX_SUPPORTS}"
         )
-    chunk = max(1, _CHUNK_BYTES // (8 * order * rows))
-    supports = combinations(range(dimension), order)
-    identity = np.eye(order)
+    per_solve = max(1, _CHUNK_BYTES // (8 * order * rows))
     worst, worst_support = -math.inf, None
-    for _ in range(0, total, chunk):
-        block = np.fromiter(
-            chain.from_iterable(islice(supports, chunk)), dtype=np.int64
-        ).reshape(-1, order)
-        grams = gram_on_support(matrix, block)
-        bound = np.abs(grams - identity).sum(axis=-1).max(axis=-1)
-        if not np.isfinite(bound).all():
-            bad = tuple(int(i) for i in block[np.argmin(np.isfinite(bound))])
-            raise DimensionError(
-                f"the Gram on support {bad} has a NaN or infinite entry or row sum"
-            )
-        # worst - margin is -inf until a chunk has been solved
-        solve = np.flatnonzero(bound >= worst - 1e-9 * max(1.0, abs(worst)))
-        if solve.size == 0:
-            continue
-        eig = np.linalg.eigvalsh(grams[solve])
-        dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
-        best = int(np.argmax(dev))
-        if dev[best] > worst:
-            worst = float(dev[best])
-            worst_support = tuple(int(i) for i in block[solve[best]])
-    return RipEstimate(
-        order=order,
-        delta=max(worst, 0.0),
-        worst_support=worst_support,
-        supports_checked=total,
-    )
+
+    def solve(supports):
+        nonlocal worst, worst_support
+        for start in range(0, len(supports), per_solve):
+            batch = supports[start:start + per_solve]
+            eig = np.linalg.eigvalsh(gram_on_support(matrix, batch))
+            dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
+            if not np.isfinite(dev).all():
+                raise _not_finite(batch[np.argmin(np.isfinite(dev))])
+            best = int(np.argmax(dev))
+            support = tuple(int(i) for i in batch[best])
+            if dev[best] > worst or (dev[best] == worst and support < worst_support):
+                worst, worst_support = float(dev[best]), support
+
+    if order == 1:
+        solve(np.arange(dimension)[:, None])
+        return RipEstimate(order, max(worst, 0.0), worst_support, total)
+    off = np.abs(gram_on_support(matrix, np.arange(dimension)) - np.eye(dimension))
+    if np.isfinite(off).all():
+        solve(_greedy_supports(off, order))
+    above = ~np.tri(dimension, dtype=bool)  # above[i, c]: c > i
+    per_chunk = max(1, _CHUNK_BYTES // (8 * dimension))
+    prefixes = combinations(range(dimension - 1), order - 1)
+    for _ in range(0, math.comb(dimension - 1, order - 1), per_chunk):
+        chunk = np.fromiter(
+            chain.from_iterable(islice(prefixes, per_chunk)), dtype=np.int64
+        ).reshape(-1, order - 1)
+        bound = _prefix_bounds(off, chunk)
+        valid = above[chunk[:, -1]]
+        bad = valid & ~np.isfinite(bound)
+        if bad.any():
+            p, c = np.unravel_index(np.argmax(bad), bad.shape)
+            raise _not_finite((*chunk[p], c))
+        bound[~valid] = np.nan
+        # nonzero's row-major (prefix, column) order is the lexicographic one
+        while (reach := np.nonzero(bound >= worst - 1e-9 * max(1.0, abs(worst))))[0].size:
+            p, c = reach[0][:per_solve], reach[1][:per_solve]
+            bound[p, c] = np.nan
+            solve(np.column_stack((chunk[p], c)))
+    return RipEstimate(order, max(worst, 0.0), worst_support, total)
 
 
 def delta2_coherence(matrix) -> float:

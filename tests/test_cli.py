@@ -471,6 +471,10 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
          "axisValues entry must be a finite number, got None"),
         ({"axis": "n", "axisValues": [8], "fixed": {"k": 2, "sigma": float("nan")}},
          "fixed sigma must be a finite number, got nan"),
+        ({"axis": "sigma", "axisValues": [0, 10**400], "fixed": {"n": 8, "k": 2}},
+         "axisValues entry must be a finite number, got an integer beyond the float range"),
+        ({"axis": "n", "axisValues": [8], "fixed": {"k": 2, "sigma": 10**400}},
+         "fixed sigma must be a finite number, got an integer beyond the float range"),
         # removed settings are unknown keys
         ({"successTol": None},
          "spec keys ['N', 'axis', 'axisValues', 'ensembleList', 'fixed', 'masterSeed', "
@@ -488,7 +492,8 @@ def test_sweep_across_blas_thread_counts_moves_only_rel_err_digits(tmp_path):
     ids=["axis-value-null", "axis-value-infinity", "axis-value-fraction",
          "axis-value-integral-float", "fixed-n-null", "fixed-n-fraction",
          "n-axis-value-fraction", "fixed-k-fraction", "sigma-axis-value-null",
-         "fixed-sigma-nan", "success-tol-null", "max-iterations-string", "max-iterations-zero",
+         "fixed-sigma-nan", "sigma-axis-value-beyond-float", "fixed-sigma-beyond-float",
+         "success-tol-null", "max-iterations-string", "max-iterations-zero",
          "penalty-null",
          "primal-tol", "fixed-not-object", "axis-values-not-list"],
 )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -196,11 +197,16 @@ def test_spec_validation_values():
         ({"master_seed": 12.5}, "masterSeed must be an integer, got 12.5"),
         ({"axis_values": (1, 17)}, "axisValues entry 17 out of range for dimension 16"),
         ({"fixed": {"n": 20}}, "fixed n 20 out of range for dimension 16"),
+        ({"axis": "sigma", "axis_values": (0, 10**400), "fixed": {"n": 8, "k": 2}},
+         "axisValues entry must be a finite number, got an integer beyond the float range"),
+        ({"axis": "n", "axis_values": (8,), "fixed": {"k": 2, "sigma": -(10**400)}},
+         "fixed sigma must be a finite number, got an integer beyond the float range"),
     ],
     ids=["axis-k-and-fixed-n-fractions", "fixed-n-fraction", "fixed-n-integral-float",
          "axis-n-fraction", "fixed-k-fraction", "axis-value-bool", "sigma-string",
          "fixed-sigma-nan", "trials-fraction", "dimension-integral-float",
-         "master-seed-fraction", "axis-k-out-of-range", "fixed-n-out-of-range"],
+         "master-seed-fraction", "axis-k-out-of-range", "fixed-n-out-of-range",
+         "axis-sigma-beyond-float", "fixed-sigma-beyond-float"],
 )
 def test_spec_built_in_python_rejects_non_integer_counts(overrides, message):
     # the same rule as from_json: a fractional count is refused, not truncated
@@ -221,6 +227,15 @@ def test_spec_accepts_numpy_integer_counts():
     counts = small_spec(dimension=np.int64(16), trials=np.int16(3), master_seed=np.uint8(12),
                         max_iterations=np.int64(MAX_ITERATIONS))
     assert counts.to_json() == small_spec().to_json()
+
+
+def test_sigma_int_at_the_float_limit_stays_an_int():
+    top = int(sys.float_info.max)
+    spec = small_spec(axis="sigma", axis_values=(top,), fixed={"n": 8, "k": 2})
+    assert spec.axis_values == (top,)
+    assert spec.cell_params(top) == (8, 2, sys.float_info.max, "pm1")
+    with pytest.raises(DimensionError, match="beyond the float range"):
+        small_spec(axis="sigma", axis_values=(top + 1,), fixed={"n": 8, "k": 2})
 
 
 def test_sigma_axis_keeps_ints_and_floats_apart():

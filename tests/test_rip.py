@@ -11,6 +11,7 @@ confirmed by direct eigenvalue enumeration before being pinned.
 """
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -238,7 +239,39 @@ def test_order_four_scan_solves_a_small_share_of_its_supports(monkeypatch):
     mat = gen_measurement("partial-symmetric-bernoulli", 12, 24, 0)
     est = delta_k_bruteforce(mat, 4)
     assert est.supports_checked == 10626
-    assert sum(solved) < 0.15 * est.supports_checked
+    assert sum(solved) < 0.02 * est.supports_checked
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_every_support_bound_covers_its_deviation(ensemble):
+    # the float ensembles have g_ii != 1, so a bound that left out the new
+    # column's own |g_cc - 1| would fall below some deviation here
+    for rows, dim, seed in ((5, 9, 0), (6, 12, 3), (8, 10, 7)):
+        mat = gen_measurement(ensemble, rows, dim, seed)
+        off = np.abs(gram_on_support(mat, np.arange(dim)) - np.eye(dim))
+        for order in range(2, 6):
+            prefixes = np.array(list(combinations(range(dim - 1), order - 1)))
+            bound = rip._prefix_bounds(off, prefixes)
+            # the (prefix, column) entries above each prefix, in lexicographic order
+            bound = bound[np.arange(dim) > prefixes[:, -1:]]
+            supports = np.array(list(combinations(range(dim), order)))
+            eig = np.linalg.eigvalsh(gram_on_support(mat, supports))
+            dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
+            assert bound.shape == dev.shape
+            assert np.all(bound >= dev - 1e-12)
+
+
+def test_scan_memory_stays_bounded():
+    # 658008 supports; bounding every prefix in one chunk takes about 100 MiB
+    mat = gen_measurement("partial-symmetric-bernoulli", 20, 40, 0)
+    tracemalloc.start()
+    try:
+        est = delta_k_bruteforce(mat, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.supports_checked == 658008
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200])
