@@ -25,7 +25,9 @@ order (for the symmetric ensemble) or per entry in row-major order (for
 ``iid-bernoulli``).  The symmetric ensemble draws only its ``n`` rows: the
 prefix of ``n*N - n(n-1)/2`` outputs fills their upper-triangle entries and
 the ``n x n`` block is mirrored, so they equal the first ``n`` rows of the
-full matrix at the same seed.  The gaussian ensemble consumes ``n * N``
+full matrix at the same seed.  Each row is one window of that prefix,
+gathered with the others in one indexing call, and the mirror is one masked
+copy; no per-row loop runs.  The gaussian ensemble consumes ``n * N``
 normal variates row-major.  Toeplitz and circulant draw only the prefix of
 that source they read, its first ``N + n`` variates (a shorter normal draw
 is a prefix of a longer one), so the three share first rows at equal seeds.
@@ -175,18 +177,26 @@ def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarra
     first ``rows`` rows read only the prefix of ``rows*N - rows*(rows-1)/2``
     outputs that fills their upper-triangle entries; the entries left of the
     diagonal mirror the ``rows x rows`` block.
+
+    Row ``i``'s upper part is the ``N - i`` outputs from ``i*N -
+    i*(i-1)/2`` on, so row ``i`` is gathered whole as the window of ``N``
+    outputs that starts ``i`` places earlier; its first ``i`` entries are
+    then overwritten by the mirror.
     """
     rows, dimension = _check_shape(rows, dimension)
     draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
-    signs = np.empty((rows, dimension), dtype=np.int8)
-    start = 0
-    for i in range(rows):
-        stop = start + dimension - i
-        signs[i, i:] = draws[start:stop]
-        # column i of the rows above is already filled: it lies in their
-        # upper parts
-        signs[i, :i] = signs[:i, i]
-        start = stop
+    # windows[s] is the N outputs from s on, a view of draws
+    windows = np.ndarray(
+        (len(draws) - dimension + 1, dimension), np.int8, draws, strides=(1, 1)
+    )
+    i = np.arange(rows)
+    signs = windows[i * (2 * dimension - 1 - i) // 2]
+    block = signs[:, :rows]
+    # the strictly lower mask, as windows of rows-1 Trues then rows Falses:
+    # row r is the window that starts rows-1-r places in
+    line = np.arange(2 * rows - 1) < rows - 1
+    below = np.ndarray((rows, rows), bool, line, rows - 1, (-1, 1))
+    np.copyto(block, block.T, where=below)
     return signs
 
 

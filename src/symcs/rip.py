@@ -20,12 +20,13 @@ float ensemble they differ from a support's own Gram by rounding only.  A
 support is a prefix of ``k-1`` columns plus a column ``c`` above it; the
 prefixes come in lexicographic chunks, each bounding its ``(prefix, c)``
 supports from the prefix's row sums, and that order is the supports'
-lexicographic order.  Before the pass ``worst`` is seeded by solving one
-greedy support per start column (grown by the column that adds the largest
-row sum), which usually attains the constant.  Eigenvalues are then
-computed only for supports with ``b >= worst - margin``, where ``worst`` is
-the largest deviation found so far and ``margin = 1e-9 * max(1, |worst|)``
-lies far above the rounding in ``b`` and in LAPACK's eigenvalues.  A
+lexicographic order.  Before the pass ``worst`` is seeded by solving the
+greedy supports, one grown from each start column by the column that adds
+the largest row sum, which usually attain the constant; the pass skips
+them, so no support is solved twice.  Eigenvalues are then computed only
+for supports with ``b >= worst - margin``, where ``worst`` is the largest
+deviation found so far and ``margin = 1e-9 * max(1, |worst|)`` lies far
+above the rounding in ``b`` and in LAPACK's eigenvalues.  A
 support left out has a computed deviation below ``worst``, so it could
 neither raise ``worst`` nor be the first support to attain it.  A solved
 support's Gram is its own ``gram_on_support`` Gram, and the stacked
@@ -185,27 +186,75 @@ def _prefix_bounds(off: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
     over the prefix.  Only entries with ``c`` above the prefix's last column
     are supports.
     """
-    bound = np.full((len(prefixes), len(off)), -np.inf)
-    col = np.repeat(np.diagonal(off)[None, :], len(prefixes), axis=0)
+    bound, col = -np.inf, np.diagonal(off)
     for i in range(prefixes.shape[1]):
         off_i = off[prefixes[:, i]]
-        col += off_i
-        off_i += np.take_along_axis(off_i, prefixes, axis=1).sum(axis=1)[:, None]
-        np.maximum(bound, off_i, out=bound)
-    return np.maximum(bound, col, out=bound)
+        col = col + off_i
+        off_i += off[prefixes[:, i, None], prefixes].sum(axis=1)[:, None]
+        bound = np.maximum(bound, off_i, out=off_i)
+    return np.maximum(bound, col, out=col)
+
+
+def _gram_offsets(matrix) -> np.ndarray:
+    """``|G - I|`` for the Gram ``G`` of every column, built in place.
+
+    Its entries are those of ``gram_on_support(matrix, np.arange(N))`` bit
+    for bit.  A sign ensemble's dot products are taken in int16, which
+    holds them exactly: every partial sum is no larger in magnitude than the
+    row count, which ``rows <= N`` and ``rows * N <= MAX_ENTRIES`` keep at
+    most 2**13.
+    """
+    rows, dimension = shape(matrix)
+    if isinstance(matrix, MeasurementMatrix) and matrix.signs is not None:
+        signs = matrix.signs.astype(np.int16, order="F")
+        dots = signs.T @ signs
+        del signs
+        off = np.divide(dots, rows, dtype=np.float64)
+    else:
+        if isinstance(matrix, MeasurementMatrix):
+            matrix = matrix.entries
+        entries = np.asarray(matrix, dtype=np.float64)
+        off = entries.T @ entries
+        off += off.T  # numpy reads the overlapping transpose from a copy
+        off /= 2.0
+    off.reshape(-1)[:: dimension + 1] -= 1.0
+    return np.abs(off, out=off)
 
 
 def _greedy_supports(off: np.ndarray, order: int) -> np.ndarray:
-    """One sorted support per start column, grown by the column adding the largest row sum."""
+    """One sorted support per start column, grown by the column adding the largest row sum.
+
+    The start columns go in chunks, so a chunk's gains fit in
+    ``_CHUNK_BYTES``.
+    """
     n = len(off)
-    chosen = np.eye(n, dtype=bool)
-    gain = off + np.diagonal(off)
-    for _ in range(order - 1):
-        gain[chosen] = -np.inf
-        last = np.argmax(gain, axis=1)
-        chosen[np.arange(n), last] = True
-        gain += off[last]
-    return np.nonzero(chosen)[1].reshape(n, order)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * n))
+    supports = []
+    for first in range(0, n, per_chunk):
+        gain = off[first:first + per_chunk] + np.diagonal(off)
+        rows = np.arange(len(gain))
+        chosen = np.eye(len(gain), n, first, dtype=bool)
+        for _ in range(order - 1):
+            gain[chosen] = -np.inf
+            last = np.argmax(gain, axis=1)
+            chosen[rows, last] = True
+            gain += off[last]
+        supports.append(np.nonzero(chosen)[1].reshape(len(gain), order))
+    return np.concatenate(supports)
+
+
+def _place_in_pass(support: tuple, dimension: int) -> int:
+    """Flat index of a sorted support in the pass's ``(prefix, column)`` grid.
+
+    That is its prefix's rank among the ``(k-1)``-subsets of ``range(N-1)``
+    in lexicographic order, times ``N``, plus its last column.
+    """
+    n, m = dimension - 1, len(support) - 1
+    rank = math.comb(n, m) - 1
+    for i, p in enumerate(support[:-1]):
+        # the prefixes that share its first i columns and pass it at the next
+        rank -= math.comb(n - 1 - p, m - i)
+    return rank * dimension + support[-1]
 
 
 def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
@@ -216,13 +265,14 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     ``off`` on it.  Supports are taken as a prefix of ``k-1`` columns in
     lexicographic order plus a column above it, prefixes chunk by chunk so
     a chunk's ``(prefix, column)`` bounds fit in ``_CHUNK_BYTES``.  Before
-    the pass, ``worst`` is seeded by solving one greedy support per start
-    column.  Then ``numpy.linalg.eigvalsh`` solves, in stacked batches of
-    ``gram_on_support`` Grams, each support whose bound reaches ``worst -
-    1e-9 * max(1, |worst|)``, ``worst`` being the largest deviation so far.
-    At order 1 a Gram ``[g]`` is its own eigenvalue and its bound ``|g -
-    1|`` its deviation, so every column is solved and no whole Gram is
-    built.  No support left out could change the result, so the constant,
+    the pass, ``worst`` is seeded by solving the distinct greedy supports,
+    one grown from each start column.  Then ``numpy.linalg.eigvalsh``
+    solves, in stacked batches of ``gram_on_support`` Grams, each support
+    that is not a seed and whose bound reaches ``worst - 1e-9 * max(1,
+    |worst|)``, ``worst`` being the largest deviation so far; no support is
+    solved twice.  At order 1 a Gram ``[g]`` is its own eigenvalue and its
+    bound ``|g - 1|`` its deviation, so every column is solved and no whole
+    Gram is built.  No support left out could change the result, so the constant,
     the worst support and ``supports_checked`` (every support, solved or
     bounded) are those of solving them all.  The reported support is the
     lexicographically first that attains the constant.  Enumeration
@@ -260,13 +310,18 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     if order == 1:
         solve(np.arange(dimension)[:, None])
         return RipEstimate(order, max(worst, 0.0), worst_support, total)
-    off = np.abs(gram_on_support(matrix, np.arange(dimension)) - np.eye(dimension))
+    off = _gram_offsets(matrix)
+    seeded = np.empty(0, dtype=np.int64)  # the seeds' places in the pass, ascending
     if np.isfinite(off).all():
-        solve(_greedy_supports(off, order))
+        # each distinct seed once, in lexicographic order, so that a tie
+        # among them keeps the first
+        seeds = sorted(set(map(tuple, _greedy_supports(off, order).tolist())))
+        solve(np.array(seeds))
+        seeded = np.array([_place_in_pass(s, dimension) for s in seeds], dtype=np.int64)
     above = ~np.tri(dimension, dtype=bool)  # above[i, c]: c > i
     per_chunk = max(1, _CHUNK_BYTES // (8 * dimension))
     prefixes = combinations(range(dimension - 1), order - 1)
-    for _ in range(0, math.comb(dimension - 1, order - 1), per_chunk):
+    for first in range(0, math.comb(dimension - 1, order - 1), per_chunk):
         chunk = np.fromiter(
             chain.from_iterable(islice(prefixes, per_chunk)), dtype=np.int64
         ).reshape(-1, order - 1)
@@ -277,6 +332,9 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
             p, c = np.unravel_index(np.argmax(bad), bad.shape)
             raise _not_finite((*chunk[p], c))
         bound[~valid] = np.nan
+        # the seeds among the chunk's supports are solved already
+        lo, hi = np.searchsorted(seeded, (first * dimension, (first + len(chunk)) * dimension))
+        np.put(bound, seeded[lo:hi] - first * dimension, np.nan)
         # nonzero's row-major (prefix, column) order is the lexicographic one
         while (reach := np.nonzero(bound >= worst - 1e-9 * max(1.0, abs(worst))))[0].size:
             p, c = reach[0][:per_solve], reach[1][:per_solve]

@@ -21,6 +21,13 @@ be produced in any language:
 * bounded integers, for ``1 <= bound <= 2**64``, use unbiased rejection:
   draws are taken in stream order and accepted when
   ``u < 2**64 - (2**64 mod bound)``; the value is ``u mod bound``
+
+Array draws mix their outputs in blocks of ``_BLOCK``, in place: each
+quarter of a block's counter states is one add of the stream's offset to a
+fixed table of ``GAMMA * (1.._BLOCK/4)``, and each mixing step writes over
+them with one block-sized scratch array.  A sign draw stops before the last
+step, which leaves bit 63 as it is, and writes each block's signs straight
+into its int8 result, so no count-sized uint64 array is ever held.
 """
 
 from __future__ import annotations
@@ -37,6 +44,18 @@ _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 
 __all__ = ["GAMMA", "MASK64", "Stream", "derive_seed", "mix64", "rotl64"]
+
+# a draw mixes its outputs in blocks of this many, in place, so what it holds
+# beyond its result is two block-sized arrays
+_BLOCK = 32768
+# GAMMA * (1..B/4) mod 2**64, 64 KiB: each quarter of a block's counter
+# states is these plus one offset
+_STEPS = np.arange(1, _BLOCK // 4 + 1, dtype=np.uint64)
+_STEPS *= np.uint64(GAMMA)
+_STEPS.flags.writeable = False
+# numpy scalars, since numpy 1.24 casts uint64 with a Python int to float64
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+_M1, _M2 = np.uint64(_MULT1), np.uint64(_MULT2)
 
 
 def mix64(value: int) -> int:
@@ -103,41 +122,73 @@ class Stream:
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` outputs as a uint64 array."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        # mix64 of seed + GAMMA*i, in place on one count-sized array (each
-        # shift makes one temporary)
-        z = np.arange(self._pos + 1, self._pos + count + 1, dtype=np.uint64)
-        self._pos += count
-        z *= np.uint64(GAMMA)
-        z += np.uint64(self._seed)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MULT1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MULT2)
-        z ^= z >> np.uint64(31)
-        return z
+        out = np.empty(_checked_count(count), dtype=np.uint64)
+        for _, z, scratch in self._blocks(len(out), out):
+            np.right_shift(z, _S31, out=scratch)
+            z ^= scratch
+        return out
 
     def signs(self, count: int) -> np.ndarray:
         """Values in {+1, -1} as int8, one per output."""
-        top = self.raw(count)
-        top >>= np.uint64(63)
-        return 1 - 2 * top.astype(np.int8)
+        out = np.empty(_checked_count(count), dtype=np.int8)
+        for start, z, _ in self._blocks(len(out)):
+            # shifting the int64 view right by 63 gives 0 or -1 from bit 63,
+            # and | 1 then +1 or -1
+            top = z.view(np.int64)
+            np.right_shift(top, 63, out=top)
+            top |= 1
+            out[start:start + len(top)] = top
+        return out
 
     def normals(self, count: int) -> np.ndarray:
         """Standard normal variates via pairwise Box-Muller (see module doc)."""
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
-        pairs = (count + 1) // 2
+        pairs = (_checked_count(count) + 1) // 2
         r = self.raw(2 * pairs)
-        a = ((r[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        b = (r[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(a))
-        angle = (2.0 * math.pi) * b
+        r >>= np.uint64(11)
+        u = r.astype(np.float64).reshape(pairs, 2)
+        # the module doc's a = (u + 1) * 2**-53 and 2*pi*b = (2*pi) * (u' *
+        # 2**-53): a scaling by a power of 2 is exact, so u' * (2*pi * 2**-53)
+        # rounds as the latter
+        radius = u[:, 0] + 1.0
+        radius *= 2.0**-53
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = u[:, 1] * (2.0 * math.pi * 2.0**-53)
         out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        np.multiply(radius, np.cos(angle), out=out[0::2])
+        np.multiply(radius, np.sin(angle), out=out[1::2])
         return out[:count]
+
+    def _blocks(self, count: int, out: np.ndarray | None = None):
+        """Mix the next ``count`` outputs block by block, advancing the position.
+
+        Yields ``(start, z, scratch)`` per block of at most ``_BLOCK``
+        outputs from ``start`` on.  ``z`` holds their ``mix64`` states
+        before its last step, ``z ^= z >> 31``, which leaves bit 63 as it
+        is; it is ``out[start:]``'s block when ``out`` is given, else one
+        reused block-sized array.  ``scratch`` is free for the caller.
+        """
+        first = self._pos
+        self._pos += count
+        size = min(count, _BLOCK)
+        scratch = np.empty(size, dtype=np.uint64)
+        states = np.empty(size, dtype=np.uint64) if out is None else None
+        for start in range(0, count, _BLOCK):
+            m = min(count - start, _BLOCK)
+            z = states[:m] if out is None else out[start:start + m]
+            t = scratch[:m]
+            for piece in range(0, m, len(_STEPS)):
+                k = min(m - piece, len(_STEPS))
+                offset = (self._seed + (first + start + piece) * GAMMA) & MASK64
+                np.add(_STEPS[:k], np.uint64(offset), out=z[piece:piece + k])
+            np.right_shift(z, _S30, out=t)
+            z ^= t
+            z *= _M1
+            np.right_shift(z, _S27, out=t)
+            z ^= t
+            z *= _M2
+            yield start, z, t
 
     def below(self, bound: int) -> int:
         """One unbiased integer in [0, bound) by rejection, for
@@ -174,3 +225,9 @@ class Stream:
             j = i + self.below(population - i)
             arr[i], arr[j] = arr[j], arr[i]
         return np.sort(arr[:count])
+
+
+def _checked_count(count: int) -> int:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    return count

@@ -42,6 +42,37 @@ def test_symmetric_rows_are_a_prefix_of_the_full_matrix(dimension):
         assert np.array_equal(ens.gen_symmetric_sign_matrix(rows, dimension, 5), full[:rows])
 
 
+def symmetric_rows_by_row(rows, dimension, seed):
+    """The symmetric fill one row at a time: the upper part from the stream, the rest mirrored."""
+    draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
+    signs = np.empty((rows, dimension), dtype=np.int8)
+    start = 0
+    for i in range(rows):
+        stop = start + dimension - i
+        signs[i, i:] = draws[start:stop]
+        signs[i, :i] = signs[:i, i]
+        start = stop
+    return signs
+
+
+@pytest.mark.parametrize(
+    "rows, dimension",
+    [(1, 1), (1, 2), (1, 9), (2, 2), (3, 3), (7, 7), (12, 24), (5, 300), (64, 64)],
+)
+def test_symmetric_fill_equals_the_row_by_row_fill(rows, dimension):
+    got = ens.gen_symmetric_sign_matrix(rows, dimension, 11)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    assert np.array_equal(got, symmetric_rows_by_row(rows, dimension, 11))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 80), st.integers(0, 2**64 - 1), st.data())
+def test_symmetric_fill_equals_the_row_by_row_fill_on_any_shape(dimension, seed, data):
+    rows = data.draw(st.integers(1, dimension))
+    got = ens.gen_symmetric_sign_matrix(rows, dimension, seed)
+    assert np.array_equal(got, symmetric_rows_by_row(rows, dimension, seed))
+
+
 # sha256 of the int8 signs as the full N x N construction drew them (seed 0);
 # drawing only the rows' stream prefix must reproduce them bit for bit
 SYMMETRIC_DIGESTS = {

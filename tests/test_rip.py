@@ -205,18 +205,21 @@ def tie_rich_arrays():
     yield np.ones((6, 12)) / math.sqrt(6)
 
 
-@pytest.mark.parametrize("supports_per_chunk", [None, 7])
-def test_pruned_scan_equals_solving_every_support(monkeypatch, supports_per_chunk):
-    # None keeps the default chunk; 7 supports per chunk puts ties across
-    # chunk boundaries
+def scan_cases():
     cases = [
         (gen_measurement(ensemble, rows, dim, seed), order)
         for ensemble in ENSEMBLES
         for rows, dim, seed in ((6, 12, 0), (8, 16, 5), (12, 24, 11))
         for order in range(1, 5)
     ]
-    cases += [(arr, order) for arr in tie_rich_arrays() for order in range(1, 5)]
-    for mat, order in cases:
+    return cases + [(arr, order) for arr in tie_rich_arrays() for order in range(1, 5)]
+
+
+@pytest.mark.parametrize("supports_per_chunk", [None, 7])
+def test_pruned_scan_equals_solving_every_support(monkeypatch, supports_per_chunk):
+    # None keeps the default chunk; 7 supports per chunk puts ties across
+    # chunk boundaries
+    for mat, order in scan_cases():
         if supports_per_chunk is not None:
             chunk_bytes = 8 * order * shape(mat)[0] * supports_per_chunk
             monkeypatch.setattr(rip, "_CHUNK_BYTES", chunk_bytes)
@@ -225,6 +228,36 @@ def test_pruned_scan_equals_solving_every_support(monkeypatch, supports_per_chun
         assert est.delta.hex() == delta.hex()
         assert est.worst_support == worst_support
         assert est.supports_checked == count
+
+
+@pytest.mark.parametrize("supports_per_chunk", [None, 7])
+def test_no_support_is_solved_twice(monkeypatch, supports_per_chunk):
+    # the greedy seeds are solved before the pass, and start columns that
+    # grow into the same support give it once
+    solved = []
+    gram = rip.gram_on_support
+
+    def recording(matrix, support):
+        solved.extend(map(tuple, np.asarray(support).tolist()))
+        return gram(matrix, support)
+
+    monkeypatch.setattr(rip, "gram_on_support", recording)
+    for mat, order in scan_cases():
+        if supports_per_chunk is not None:
+            chunk_bytes = 8 * order * shape(mat)[0] * supports_per_chunk
+            monkeypatch.setattr(rip, "_CHUNK_BYTES", chunk_bytes)
+        solved.clear()
+        delta_k_bruteforce(mat, order)
+        assert solved and len(set(solved)) == len(solved)
+
+
+def test_a_support_place_in_the_pass_is_its_prefix_rank_and_column():
+    for dim in range(2, 9):
+        for order in range(2, dim + 1):
+            prefixes = list(combinations(range(dim - 1), order - 1))
+            for support in combinations(range(dim), order):
+                want = prefixes.index(support[:-1]) * dim + support[-1]
+                assert rip._place_in_pass(support, dim) == want
 
 
 def test_order_four_scan_solves_a_small_share_of_its_supports(monkeypatch):
@@ -248,7 +281,7 @@ def test_every_support_bound_covers_its_deviation(ensemble):
     # column's own |g_cc - 1| would fall below some deviation here
     for rows, dim, seed in ((5, 9, 0), (6, 12, 3), (8, 10, 7)):
         mat = gen_measurement(ensemble, rows, dim, seed)
-        off = np.abs(gram_on_support(mat, np.arange(dim)) - np.eye(dim))
+        off = rip._gram_offsets(mat)
         for order in range(2, 6):
             prefixes = np.array(list(combinations(range(dim - 1), order - 1)))
             bound = rip._prefix_bounds(off, prefixes)
@@ -272,6 +305,32 @@ def test_scan_memory_stays_bounded():
         tracemalloc.stop()
     assert est.supports_checked == 658008
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_whole_gram_offsets_equal_the_support_gram_bitwise(ensemble):
+    for rows, dim, seed in ((1, 5, 2), (6, 12, 0), (30, 60, 1)):
+        mat = gen_measurement(ensemble, rows, dim, seed)
+        for given in (mat, mat.entries):
+            want = np.abs(gram_on_support(given, np.arange(dim)) - np.eye(dim))
+            assert rip._gram_offsets(given).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "ensemble, limit_mib", [("partial-symmetric-bernoulli", 11), ("gaussian", 17)]
+)
+def test_whole_gram_memory_stays_bounded(ensemble, limit_mib):
+    # a 1000 x 1000 Gram is 7.6 MiB; building it through int64 sign columns
+    # and out-of-place steps peaked at 23.9 MiB on either ensemble
+    mat = gen_measurement(ensemble, 1000, 1000, 0)
+    tracemalloc.start()
+    try:
+        est = delta_k_bruteforce(mat, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.supports_checked == 499500
+    assert peak < limit_mib * 2**20
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 1e200])

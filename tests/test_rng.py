@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,57 @@ def test_mix64_scalar_agrees_with_stream():
     block = stream.raw(6)
     direct = [mix64((seed + (i + 1) * GAMMA) & MASK64) for i in range(6)]
     assert [int(v) for v in block] == direct
+
+
+def reference_draws(seed, skip, count):
+    """raw, signs and normals for outputs skip+1..skip+count, from scalar mix64."""
+    pairs = (count + 1) // 2
+    raw = np.array(
+        [mix64((seed + i * GAMMA) & MASK64) for i in range(skip + 1, skip + 2 * pairs + 1)],
+        dtype=np.uint64,
+    )
+    signs = np.where(raw < np.uint64(2**63), 1, -1).astype(np.int8)
+    u = raw >> np.uint64(11)
+    a = (u[0::2].astype(np.float64) + 1.0) * 2.0**-53
+    b = u[1::2].astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(a))
+    angle = (2.0 * math.pi) * b
+    normals = np.empty(2 * pairs)
+    normals[0::2] = radius * np.cos(angle)
+    normals[1::2] = radius * np.sin(angle)
+    return raw[:count], signs[:count], normals[:count]
+
+
+BLOCK, PIECE = rng._BLOCK, len(rng._STEPS)
+
+
+@pytest.mark.parametrize("skip", [0, 3])
+@pytest.mark.parametrize(
+    "count", [PIECE - 1, PIECE + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+)
+def test_block_boundary_draws_equal_the_scalar_reference(count, skip):
+    # block and step-table boundaries, from position 0 and mid-stream after
+    # raw(3), so blocks start off the table's alignment with the counter
+    want = reference_draws(2024, skip, count)
+    for kind, expected in zip(("raw", "signs", "normals"), want):
+        stream = Stream(2024)
+        stream.raw(skip)
+        got = getattr(stream, kind)(count)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), kind
+        assert stream.position == skip + (count + count % 2 if kind == "normals" else count)
+
+
+def test_sign_draw_holds_its_output_and_two_blocks():
+    # 4 MiB of int8 signs; a count-sized uint64 array would be 32 MiB
+    tracemalloc.start()
+    try:
+        signs = Stream(1).signs(2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert signs.nbytes == 2**22
+    assert peak < 2**22 + 4 * 8 * BLOCK
 
 
 def test_frozen_uniforms_signs_normals():
