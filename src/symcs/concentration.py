@@ -31,7 +31,7 @@ import numpy as np
 
 from .ensembles import dense, gen_symmetric_sign_matrix
 from .errors import DimensionError, EnumerationTooLargeError
-from .rng import Stream, derive_seed
+from .rng import Stream, _absorb, derive_seed
 
 _MAX_FREE_BITS = 20
 _MAX_ROW_BITS = 16
@@ -254,9 +254,12 @@ def empirical_tails(
     upper = [0] * len(eps_values)
     lower = [0] * len(eps_values)
     total = 0.0
+    root = derive_seed(master_seed, ())
     for t in range(trials):
-        signs = gen_symmetric_sign_matrix(rows, dimension, derive_seed(master_seed, [t, 0]))
-        alpha = random_unit_vector(dimension, derive_seed(master_seed, [t, 1]))
+        # derive_seed(master_seed, [t, 0]) and [t, 1], absorbing t once
+        trial = _absorb(root, t)
+        signs = gen_symmetric_sign_matrix(rows, dimension, _absorb(trial, 0))
+        alpha = random_unit_vector(dimension, _absorb(trial, 1))
         # q_statistics' energy, without its checks on shapes known here
         values = _row_statistics(signs, alpha)
         energy = float(values @ values)

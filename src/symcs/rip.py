@@ -26,8 +26,25 @@ the largest row sum, which usually attain the constant; the pass skips
 them, so no support is solved twice.  Eigenvalues are then computed only
 for supports with ``b >= worst - margin``, where ``worst`` is the largest
 deviation found so far and ``margin = 1e-9 * max(1, |worst|)`` lies far
-above the rounding in ``b`` and in LAPACK's eigenvalues.  A
-support left out has a computed deviation below ``worst``, so it could
+above the rounding in ``b`` and in LAPACK's eigenvalues.
+
+A second bound, one level up, skips whole subtrees.  The supports whose
+first ``k-2`` columns are ``P`` add two columns from the candidates ``C``
+above ``P``'s last column, so every one of their bounds is at most ``B(P) =
+max(max_{i in P} s_i + T_2(i), max_{i in C} off[i, i] + s_i + T_1(i))``,
+where ``s_i`` is the sum of ``off[i, j]`` over ``j`` in ``P`` and ``T_r(i)``
+the sum of the ``r`` largest ``off[i, j]`` over ``j`` in ``C`` (``j != i``),
+read from two ``N x N`` tables of suffix maxima.  The prefixes ``P`` come in
+lexicographic chunks; one with ``B(P) < worst - margin`` is skipped with all
+its completions, and the kept ones are expanded with array operations into
+their ``(k-1)``-prefixes, in lexicographic order, for the pass above.
+``B(P)`` adds up the same nonnegative entries as a completion's ``b``, or
+larger ones, in another order, so what rounding can take from it lies far
+under the margin too.  An ``off`` with a NaN or infinite entry keeps every
+subtree (``nan >= worst`` is False), so the refusal below still names the
+first support that has one.
+
+A support left out has a computed deviation below ``worst``, so it could
 neither raise ``worst`` nor be the first support to attain it.  A solved
 support's Gram is its own ``gram_on_support`` Gram, and the stacked
 ``eigvalsh`` calls LAPACK once per Gram, so its eigenvalues do not depend on
@@ -40,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -257,6 +273,97 @@ def _place_in_pass(support: tuple, dimension: int) -> int:
     return rank * dimension + support[-1]
 
 
+def _last(prefixes: np.ndarray) -> np.ndarray:
+    """Each prefix's last column, ``-1`` for the empty prefix."""
+    return prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
+
+
+def _extend(prefixes: np.ndarray, top: int) -> np.ndarray:
+    """Each prefix followed by each column above its last and below ``top``.
+
+    ``prefixes`` is an ``(m, d)`` index array in lexicographic order, ``d``
+    possibly 0; the rows come out in lexicographic order too.
+    """
+    last = _last(prefixes)
+    counts = top - 1 - last
+    ends = np.cumsum(counts)
+    # row r of prefix p's block, which starts at ends[p] - counts[p], takes
+    # column last[p] + 1 + r - (ends[p] - counts[p])
+    column = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
+    return np.column_stack((np.repeat(prefixes, counts, axis=0), column))
+
+
+def _prefix_chunks(depth: int, top: int, size: int):
+    """The ``depth``-subsets of ``range(top)`` in lexicographic chunks of ``size``, the last shorter.
+
+    Each chunk is unranked column by column.  With ``low`` the least column
+    still free and ``r`` a row's rank among the ``j``-subsets of ``range(low,
+    top)``, those whose first column is below ``x`` number ``C(top - low, j)
+    - C(top - x, j)``; so the next column is the ``x`` whose ``C(top - x,
+    j)`` is the least at or above ``C(top - low, j) - r``.
+    """
+    gap = top - depth
+    # binom[j, u] = C(j + u, j): by Pascal's rule each row is the running sum of the last
+    binom = np.ones((depth + 1, gap + 1), dtype=np.int64)
+    for j in range(1, depth + 1):
+        np.cumsum(binom[j - 1], out=binom[j])
+    total = int(binom[depth, gap])
+    for first in range(0, total, size):
+        rank = np.arange(first, min(first + size, total))
+        rows = np.empty((len(rank), depth), dtype=np.int64)
+        low = 0
+        for i, j in enumerate(range(depth, 0, -1)):
+            target = binom[j, top - low - j] - rank
+            u = np.searchsorted(binom[j], target)
+            rows[:, i] = top - j - u
+            rank = binom[j, u] - target
+            low = rows[:, i] + 1
+        yield rows
+
+
+def _suffix_tables(off: np.ndarray):
+    """``(pair, single)``: the largest ``off`` entries of each row from each start column.
+
+    Entry ``[s, i]`` of ``pair`` is the sum of the two largest ``off[i, j]``
+    with ``j >= s`` (``T_2``, used for ``i < s``).  Entry ``[s, i]`` of
+    ``single`` is ``off[i, i]`` plus the largest ``off[i, j]`` with ``j >=
+    s`` and ``j != i`` (``T_1``), or ``-inf`` for ``i < s``.
+    """
+    offz = off.copy()
+    np.fill_diagonal(offz, 0.0)
+    # top[s, i] = max_{j >= s} offz[j, i], which is offz[i, j] since off is symmetric
+    top = np.maximum.accumulate(offz[::-1], axis=0)[::-1]
+    # the second largest from s is the largest min(offz[j, i], top[j + 1, i]), j >= s
+    second = np.zeros_like(offz)
+    np.minimum(offz[:-1], top[1:], out=second[:-1])
+    pair = np.maximum.accumulate(second[::-1], axis=0)[::-1]
+    pair += top
+    top += np.diagonal(off)
+    top[np.tri(len(off), k=-1, dtype=bool)] = -np.inf
+    return pair, top
+
+
+def _subtree_bounds(off: np.ndarray, tables, prefixes: np.ndarray) -> np.ndarray:
+    """A bound on the Gershgorin bound of every completion of each prefix.
+
+    ``prefixes`` is an ``(m, k-2)`` index array and ``tables`` is
+    ``_suffix_tables(off)``.  A completion adds two columns from the
+    candidates ``C`` above the prefix's last column.  With ``s_i`` the sum of
+    ``off[i, j]`` over ``j`` in the prefix, entry ``p`` of the result is
+    ``max(max_{i in P} s_i + T_2(i), max_{i in C} off[i, i] + s_i + T_1(i))``,
+    ``T_r`` taken over ``C``: a prefix row gains two entries in ``C``, a
+    candidate's row its own diagonal and one entry in ``C``.
+    """
+    pair, single = tables
+    start = _last(prefixes) + 1
+    sums = np.zeros((len(prefixes), len(off)))
+    for column in prefixes.T:
+        sums += off[column]
+    in_prefix = np.take_along_axis(sums, prefixes, axis=1) + pair[start[:, None], prefixes]
+    sums += single[start]
+    return np.maximum(sums.max(axis=1), in_prefix.max(axis=1, initial=-np.inf))
+
+
 def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     """Order-k isometry constant over every size-k column support.
 
@@ -264,7 +371,12 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     |G - I|``, a support's Gershgorin bound is the largest row sum of
     ``off`` on it.  Supports are taken as a prefix of ``k-1`` columns in
     lexicographic order plus a column above it, prefixes chunk by chunk so
-    a chunk's ``(prefix, column)`` bounds fit in ``_CHUNK_BYTES``.  Before
+    a chunk's ``(prefix, column)`` bounds fit in ``_CHUNK_BYTES``.  Above
+    them, from order 3, the ``(k-2)``-column prefixes come in chunks of the
+    same size, and each one's ``_subtree_bounds`` entry bounds every
+    support that extends it; a prefix whose entry falls below ``worst -
+    1e-9 * max(1, |worst|)`` is skipped with all its supports, and the rest
+    are expanded into the ``(k-1)``-column prefixes of the pass.  Before
     the pass, ``worst`` is seeded by solving the distinct greedy supports,
     one grown from each start column.  Then ``numpy.linalg.eigvalsh``
     solves, in stacked batches of ``gram_on_support`` Grams, each support
@@ -307,39 +419,61 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
             if dev[best] > worst or (dev[best] == worst and support < worst_support):
                 worst, worst_support = float(dev[best]), support
 
+    def reach():
+        # the least bound that lets a support change the result
+        return worst - 1e-9 * max(1.0, abs(worst))
+
     if order == 1:
         solve(np.arange(dimension)[:, None])
         return RipEstimate(order, max(worst, 0.0), worst_support, total)
     off = _gram_offsets(matrix)
     seeded = np.empty(0, dtype=np.int64)  # the seeds' places in the pass, ascending
-    if np.isfinite(off).all():
+    finite = np.isfinite(off).all()
+    if finite:
         # each distinct seed once, in lexicographic order, so that a tie
         # among them keeps the first
         seeds = sorted(set(map(tuple, _greedy_supports(off, order).tolist())))
         solve(np.array(seeds))
         seeded = np.array([_place_in_pass(s, dimension) for s in seeds], dtype=np.int64)
+        if order > 2:
+            tables = _suffix_tables(off)
     above = ~np.tri(dimension, dtype=bool)  # above[i, c]: c > i
     per_chunk = max(1, _CHUNK_BYTES // (8 * dimension))
-    prefixes = combinations(range(dimension - 1), order - 1)
-    for first in range(0, math.comb(dimension - 1, order - 1), per_chunk):
-        chunk = np.fromiter(
-            chain.from_iterable(islice(prefixes, per_chunk)), dtype=np.int64
-        ).reshape(-1, order - 1)
-        bound = _prefix_bounds(off, chunk)
-        valid = above[chunk[:, -1]]
-        bad = valid & ~np.isfinite(bound)
-        if bad.any():
-            p, c = np.unravel_index(np.argmax(bad), bad.shape)
-            raise _not_finite((*chunk[p], c))
-        bound[~valid] = np.nan
-        # the seeds among the chunk's supports are solved already
-        lo, hi = np.searchsorted(seeded, (first * dimension, (first + len(chunk)) * dimension))
-        np.put(bound, seeded[lo:hi] - first * dimension, np.nan)
-        # nonzero's row-major (prefix, column) order is the lexicographic one
-        while (reach := np.nonzero(bound >= worst - 1e-9 * max(1.0, abs(worst))))[0].size:
-            p, c = reach[0][:per_solve], reach[1][:per_solve]
-            bound[p, c] = np.nan
-            solve(np.column_stack((chunk[p], c)))
+    # the (k-1)-prefixes under the subtrees of earlier chunks, kept or not
+    ranked = 0
+    for subtrees in _prefix_chunks(order - 2, dimension - 2, per_chunk):
+        last = _last(subtrees)
+        counts = dimension - 2 - last
+        # rank of (P, c) among the (k-1)-prefixes: base[P] + c
+        base = ranked + np.cumsum(counts) - counts - last - 1
+        ranked += int(counts.sum())
+        if order > 2 and finite:
+            keep = _subtree_bounds(off, tables, subtrees) >= reach()
+            if not keep.any():
+                continue
+            subtrees, base, counts = subtrees[keep], base[keep], counts[keep]
+        prefixes = _extend(subtrees, dimension - 1)
+        ranks = np.repeat(base, counts) + prefixes[:, -1]
+        for first in range(0, len(prefixes), per_chunk):
+            chunk, rank = prefixes[first:first + per_chunk], ranks[first:first + per_chunk]
+            bound = _prefix_bounds(off, chunk)
+            valid = above[chunk[:, -1]]
+            bad = valid & ~np.isfinite(bound)
+            if bad.any():
+                p, c = np.unravel_index(np.argmax(bad), bad.shape)
+                raise _not_finite((*chunk[p], c))
+            bound[~valid] = np.nan
+            # the seeds among the chunk's supports are solved already
+            lo, hi = np.searchsorted(seeded, (rank[0] * dimension, (rank[-1] + 1) * dimension))
+            seed_rank, seed_column = np.divmod(seeded[lo:hi], dimension)
+            row = np.searchsorted(rank, seed_rank)
+            hit = rank[row] == seed_rank
+            bound[row[hit], seed_column[hit]] = np.nan
+            # nonzero's row-major (prefix, column) order is the lexicographic one
+            while (above_reach := np.nonzero(bound >= reach()))[0].size:
+                p, c = above_reach[0][:per_solve], above_reach[1][:per_solve]
+                bound[p, c] = np.nan
+                solve(np.column_stack((chunk[p], c)))
     return RipEstimate(order, max(worst, 0.0), worst_support, total)
 
 

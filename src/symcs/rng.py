@@ -73,6 +73,11 @@ def rotl64(value: int, count: int) -> int:
     return ((v << count) | (v >> (64 - count))) & MASK64
 
 
+def _absorb(state: int, label: int) -> int:
+    """One step of ``derive_seed``: the state after absorbing an integer label."""
+    return mix64(rotl64(state, 23) ^ mix64((label & MASK64) ^ GAMMA))
+
+
 def derive_seed(master: int, labels: Sequence[int]) -> int:
     """Derive a child seed from ``master`` by absorbing integer labels in order.
 
@@ -99,7 +104,7 @@ def derive_seed(master: int, labels: Sequence[int]) -> int:
     for label in labels:
         if not isinstance(label, (int, np.integer)):
             raise TypeError(f"labels must be integers, got {type(label).__name__}")
-        state = mix64(rotl64(state, 23) ^ mix64((int(label) & MASK64) ^ GAMMA))
+        state = _absorb(state, int(label))
     return state
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symcs import concentration
 from symcs.concentration import (
     DistortionReport,
     TailCheckReport,
@@ -171,6 +172,31 @@ def test_empirical_tails_frozen_counts():
     assert first.mean_energy == second.mean_energy
     assert first.bound == pytest.approx(tail_bound(0.3, 16), rel=1e-15)
     assert first.trials == 200 and first.dimension == 64 and first.rows == 16
+
+
+def test_empirical_tails_draws_each_trial_from_its_derived_seeds(monkeypatch):
+    seeds = []
+    draw_signs = concentration.gen_symmetric_sign_matrix
+    draw_alpha = concentration.random_unit_vector
+
+    def signs(rows, dimension, seed):
+        seeds.append(("signs", seed))
+        return draw_signs(rows, dimension, seed)
+
+    def alpha(dimension, seed):
+        seeds.append(("alpha", seed))
+        return draw_alpha(dimension, seed)
+
+    monkeypatch.setattr(concentration, "gen_symmetric_sign_matrix", signs)
+    monkeypatch.setattr(concentration, "random_unit_vector", alpha)
+    for master in (0, 7, 2**64 - 1, -3):
+        seeds.clear()
+        empirical_tails(8, 2, [0.5], 40, master)
+        assert seeds == [
+            (kind, derive_seed(master, [t, label]))
+            for t in range(40)
+            for kind, label in (("signs", 0), ("alpha", 1))
+        ]
 
 
 def test_empirical_tails_counts_match_direct_recount():

@@ -260,6 +260,33 @@ def test_a_support_place_in_the_pass_is_its_prefix_rank_and_column():
                 assert rip._place_in_pass(support, dim) == want
 
 
+def test_prefix_chunks_are_the_lexicographic_subsets_in_full_chunks():
+    cases = [(depth, top, size) for size in (1, 4, 1000) for top in range(8) for depth in range(top + 1)]
+    # 1200 columns deep is past Python's recursion limit, as an order close to N gives
+    for depth, top, size in cases + [(1200, 1201, 500), (60, 62, 100)]:
+        chunks = list(rip._prefix_chunks(depth, top, size))
+        assert [len(chunk) for chunk in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= size
+        rows = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert rows == list(combinations(range(top), depth))
+
+
+def test_subtree_bounds_prune_most_order_four_prefixes(monkeypatch):
+    # every exactness test passes with the subtree bound switched off; this
+    # one does not: 151 of the 1771 (k-1)-prefixes are bounded on this draw
+    bounded = []
+    prefix_bounds = rip._prefix_bounds
+
+    def counting(off, prefixes):
+        bounded.append(len(prefixes))
+        return prefix_bounds(off, prefixes)
+
+    monkeypatch.setattr(rip, "_prefix_bounds", counting)
+    mat = gen_measurement("partial-symmetric-bernoulli", 12, 24, 0)
+    assert delta_k_bruteforce(mat, 4).supports_checked == 10626
+    assert sum(bounded) < 2 * 151
+
+
 def test_order_four_scan_solves_a_small_share_of_its_supports(monkeypatch):
     solved = []
     eigvalsh = np.linalg.eigvalsh
@@ -292,6 +319,29 @@ def test_every_support_bound_covers_its_deviation(ensemble):
             dev = np.maximum(eig[:, -1] - 1.0, 1.0 - eig[:, 0])
             assert bound.shape == dev.shape
             assert np.all(bound >= dev - 1e-12)
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_every_subtree_bound_covers_its_completions(ensemble):
+    # the float ensembles have g_ii != 1, so a bound that left out a
+    # candidate's own |g_cc - 1| would fall below some completion here
+    for rows, dim, seed in ((5, 9, 0), (6, 12, 3), (8, 10, 7)):
+        mat = gen_measurement(ensemble, rows, dim, seed)
+        off = rip._gram_offsets(mat)
+        tables = rip._suffix_tables(off)
+        for order in range(2, 6):
+            subtrees = np.array(list(combinations(range(dim - 2), order - 2)), dtype=np.int64)
+            subtrees = subtrees.reshape(math.comb(dim - 2, order - 2), order - 2)
+            bound = rip._subtree_bounds(off, tables, subtrees)
+            prefixes = np.array(list(combinations(range(dim - 1), order - 1)))
+            support_bound = rip._prefix_bounds(off, prefixes)
+            support_bound[np.arange(dim) <= prefixes[:, -1:]] = -np.inf
+            worst = {}
+            for prefix, row in zip(map(tuple, prefixes.tolist()), support_bound.max(axis=1)):
+                worst[prefix[:-1]] = max(worst.get(prefix[:-1], -np.inf), row)
+            assert bound.shape == (len(worst),)
+            assert list(worst) == [tuple(p) for p in subtrees.tolist()]
+            assert np.all(bound >= np.array(list(worst.values())) - 1e-12)
 
 
 def test_scan_memory_stays_bounded():
@@ -339,6 +389,11 @@ def test_a_gram_that_is_not_finite_is_refused(entry):
     arr = Stream(4).normals(48).reshape(6, 8)
     arr[2, 5] = entry
     with np.errstate(over="ignore"):
+        # a NaN subtree bound is never >= worst, so it must not prune
+        with pytest.raises(DimensionError, match=r"support \(0, 1, 2, 5\)"):
+            delta_k_bruteforce(arr, 4)
+        with pytest.raises(DimensionError, match=r"support \(0, 1, 5\)"):
+            delta_k_bruteforce(arr, 3)
         with pytest.raises(DimensionError, match=r"support \(0, 5\)"):
             delta_k_bruteforce(arr, 2)
         with pytest.raises(DimensionError, match=r"support \(5,\)"):
