@@ -13,7 +13,6 @@ from .concentration import (
     jl_min_measurements,
     mgf_lhs_exact,
     mgf_rhs_exact,
-    pairwise_distortion,
     tail_bound,
 )
 from .ensembles import ENSEMBLES, gen_measurement, gen_symmetric_sign_matrix
@@ -42,7 +41,6 @@ __all__ = [
     "jl_min_measurements",
     "mgf_lhs_exact",
     "mgf_rhs_exact",
-    "pairwise_distortion",
     "plant_signal",
     "read_pgm",
     "recovery_condition",

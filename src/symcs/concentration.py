@@ -9,16 +9,15 @@ exactly ``1/N``, so ``E S = n/N``, and the image of ``alpha`` under the
 This module provides
 
 * exact enumeration of ``E exp(h*S)`` over every symmetric sign matrix
-  (small N) and of per-row moments over every sign row pattern, so claimed
-  product factorizations and moment formulas can be checked by brute force
+  (small N) and of the per-row ``E exp(h*Q**2)`` over every sign row
+  pattern, so claimed product factorizations can be checked by brute force
   rather than sampling
 * the analytic per-row bound ``E exp(h*Q**2) <= (1 - 2h/N)**-0.5`` and the
   tail bound ``exp(-(n/2)*(eps**2/2 - eps**3/3))`` on each one-sided relative
   deviation of ``(N/n)*S`` from 1, ``P(T >= 1+eps)`` and ``P(T <= 1-eps)``
   separately (their sum can exceed it)
 * Monte Carlo tail frequency checks with fully derived per-trial seeds
-* Johnson-Lindenstrauss style sizing of the row count for a point set, and a
-  direct pairwise distortion audit of a projected point set
+* Johnson-Lindenstrauss style sizing of the row count for a point set
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import dense, gen_symmetric_sign_matrix
+from .ensembles import gen_symmetric_sign_matrix
 from .errors import DimensionError, EnumerationTooLargeError
 from .rng import Stream, _absorb, derive_seed
 
@@ -37,34 +36,16 @@ _MAX_FREE_BITS = 20
 _MAX_ROW_BITS = 16
 
 __all__ = [
-    "DistortionReport",
     "TailCheckReport",
     "empirical_tails",
     "jl_measurement_bound",
     "jl_min_measurements",
     "mgf_lhs_exact",
     "mgf_rhs_exact",
-    "moment4_exact",
-    "pairwise_distortion",
-    "q_statistics",
     "random_unit_vector",
     "row_mgf_bound",
     "tail_bound",
 ]
-
-
-def q_statistics(signs: np.ndarray, alpha: np.ndarray):
-    """Row statistics ``Q_1..Q_n`` of a sign row block for ``alpha``, and ``S``.
-
-    ``signs`` holds the first ``n`` rows of an ``N x N`` symmetric sign
-    matrix.  Returns ``(values, total)`` where
-    ``values[j] = (M_j . alpha)/sqrt(N)`` and ``total = sum(values**2)``.
-    """
-    signs = np.asarray(signs)
-    if signs.ndim != 2 or not 1 <= signs.shape[0] <= signs.shape[1]:
-        raise DimensionError(f"need an n x N row block with 1 <= n <= N, got {signs.shape}")
-    values = _row_statistics(signs, _check_alpha(alpha, signs.shape[1]))
-    return values, float(values @ values)
 
 
 def random_unit_vector(dimension: int, seed: int) -> np.ndarray:
@@ -154,12 +135,6 @@ def mgf_rhs_exact(dimension: int, rows: int, alpha: np.ndarray, h: float) -> flo
     base = np.mean(np.exp(h * q * q))
     # numpy's power, so an overflow gives inf as mgf_lhs_exact's exponentials do
     return float(base ** rows)
-
-
-def moment4_exact(dimension: int, alpha: np.ndarray) -> float:
-    """Exact ``E Q**4`` for one sign row, by enumeration of all row patterns."""
-    q = _row_statistics(_row_enumeration(dimension), _check_alpha(alpha, dimension))
-    return float(np.mean(q ** 4))
 
 
 def row_mgf_bound(h: float, dimension: int) -> float:
@@ -260,7 +235,7 @@ def empirical_tails(
         trial = _absorb(root, t)
         signs = gen_symmetric_sign_matrix(rows, dimension, _absorb(trial, 0))
         alpha = random_unit_vector(dimension, _absorb(trial, 1))
-        # q_statistics' energy, without its checks on shapes known here
+        # the energy S = sum_j Q_j**2 over the trial's rows
         values = _row_statistics(signs, alpha)
         energy = float(values @ values)
         for i in range(len(eps_values)):
@@ -306,64 +281,6 @@ def jl_measurement_bound(eps: float, beta: float, points: int) -> float:
 def jl_min_measurements(eps: float, beta: float, points: int) -> int:
     """Smallest integer row count meeting :func:`jl_measurement_bound`."""
     return math.ceil(jl_measurement_bound(eps, beta, points))
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Pairwise squared-distance ratios of a projected point set.
-
-    Ratios are ``|f(u) - f(v)|**2 / |u - v|**2`` over distinct pairs;
-    coincident pairs are counted separately (their distances are preserved
-    trivially) and excluded from the extremes.
-    """
-
-    eps: float
-    pairs: int
-    degenerate_pairs: int
-    min_ratio: float
-    max_ratio: float
-
-    @property
-    def within(self) -> bool:
-        if self.pairs == self.degenerate_pairs:
-            return True
-        return (
-            self.min_ratio >= 1.0 - self.eps and self.max_ratio <= 1.0 + self.eps
-        )
-
-
-def pairwise_distortion(matrix, points: np.ndarray, eps: float) -> DistortionReport:
-    """Audit every pairwise distance of ``points`` under a measurement matrix.
-
-    ``points`` has one vector per row; ``matrix``, a MeasurementMatrix or a
-    2-D float array, is applied as the projection ``f``.
-    """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    entries = dense(matrix)
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != entries.shape[1]:
-        raise DimensionError(
-            f"points shape {pts.shape} does not match matrix width {entries.shape[1]}"
-        )
-    m = pts.shape[0]
-    if m < 2:
-        raise DimensionError(f"need at least 2 points, got {m}")
-    ii, jj = np.triu_indices(m, k=1)
-    diffs = pts[ii] - pts[jj]
-    denom = np.einsum("ij,ij->i", diffs, diffs)
-    projected = pts @ entries.T
-    proj = projected[ii] - projected[jj]
-    numer = np.einsum("ij,ij->i", proj, proj)
-    live = denom > 0.0
-    ratios = numer[live] / denom[live]
-    return DistortionReport(
-        eps=eps,
-        pairs=len(denom),
-        degenerate_pairs=int(np.sum(~live)),
-        min_ratio=float(ratios.min()) if ratios.size else math.nan,
-        max_ratio=float(ratios.max()) if ratios.size else math.nan,
-    )
 
 
 def _sign_patterns(length: int) -> np.ndarray:

@@ -22,11 +22,11 @@ prefixes come in lexicographic chunks, each bounding its ``(prefix, c)``
 supports from the prefix's row sums, and that order is the supports'
 lexicographic order.  Before the pass ``worst`` is seeded by solving the
 greedy supports, one grown from each start column by the column that adds
-the largest row sum, which usually attain the constant; the pass skips
-them, so no support is solved twice.  Eigenvalues are then computed only
-for supports with ``b >= worst - margin``, where ``worst`` is the largest
-deviation found so far and ``margin = 1e-9 * max(1, |worst|)`` lies far
-above the rounding in ``b`` and in LAPACK's eigenvalues.
+the largest row sum, which usually attain the constant.  The pass then
+computes eigenvalues only for supports with ``b >= worst - margin``, where
+``worst`` is the largest deviation found so far and ``margin = 1e-9 *
+max(1, |worst|)`` lies far above the rounding in ``b`` and in LAPACK's
+eigenvalues; a seed that reaches it is solved again there.
 
 A second bound, one level up, skips whole subtrees.  The supports whose
 first ``k-2`` columns are ``P`` add two columns from the candidates ``C``
@@ -47,10 +47,11 @@ first support that has one.
 A support left out has a computed deviation below ``worst``, so it could
 neither raise ``worst`` nor be the first support to attain it.  A solved
 support's Gram is its own ``gram_on_support`` Gram, and the stacked
-``eigvalsh`` calls LAPACK once per Gram, so its eigenvalues do not depend on
-which others are solved with it.  The constant, the worst support (the
-lexicographically first to attain it) and the support count are therefore
-the ones a solve of every support gives, bit for bit.
+``eigvalsh`` calls LAPACK once per Gram, so its eigenvalues depend neither
+on which others are solved with it nor on how often it is solved.  The
+constant, the worst support (the lexicographically first to attain it) and
+the support count are therefore the ones a solve of every support gives,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -259,20 +260,6 @@ def _greedy_supports(off: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate(supports)
 
 
-def _place_in_pass(support: tuple, dimension: int) -> int:
-    """Flat index of a sorted support in the pass's ``(prefix, column)`` grid.
-
-    That is its prefix's rank among the ``(k-1)``-subsets of ``range(N-1)``
-    in lexicographic order, times ``N``, plus its last column.
-    """
-    n, m = dimension - 1, len(support) - 1
-    rank = math.comb(n, m) - 1
-    for i, p in enumerate(support[:-1]):
-        # the prefixes that share its first i columns and pass it at the next
-        rank -= math.comb(n - 1 - p, m - i)
-    return rank * dimension + support[-1]
-
-
 def _last(prefixes: np.ndarray) -> np.ndarray:
     """Each prefix's last column, ``-1`` for the empty prefix."""
     return prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
@@ -380,17 +367,17 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
     the pass, ``worst`` is seeded by solving the distinct greedy supports,
     one grown from each start column.  Then ``numpy.linalg.eigvalsh``
     solves, in stacked batches of ``gram_on_support`` Grams, each support
-    that is not a seed and whose bound reaches ``worst - 1e-9 * max(1,
-    |worst|)``, ``worst`` being the largest deviation so far; no support is
-    solved twice.  At order 1 a Gram ``[g]`` is its own eigenvalue and its
-    bound ``|g - 1|`` its deviation, so every column is solved and no whole
-    Gram is built.  No support left out could change the result, so the constant,
-    the worst support and ``supports_checked`` (every support, solved or
-    bounded) are those of solving them all.  The reported support is the
-    lexicographically first that attains the constant.  Enumeration
-    refuses to start above ``MAX_SUPPORTS`` (1,000,000) supports; a Gram
-    with a NaN or infinite entry or bound raises DimensionError naming the
-    first such support.
+    whose bound reaches ``worst - 1e-9 * max(1, |worst|)``, ``worst`` being
+    the largest deviation so far; a seed among them is solved again, to the
+    same eigenvalues.  At order 1 a Gram ``[g]`` is its own eigenvalue and
+    its bound ``|g - 1|`` its deviation, so every column is solved and no
+    whole Gram is built.  No support left out could change the result, so
+    the constant, the worst support and ``supports_checked`` (every
+    support, solved or bounded) are those of solving them all.  The
+    reported support is the lexicographically first that attains the
+    constant.  Enumeration refuses to start above ``MAX_SUPPORTS``
+    (1,000,000) supports; a Gram with a NaN or infinite entry or bound
+    raises DimensionError naming the first such support.
     """
     rows, dimension = shape(matrix)
     if not 1 <= order <= dimension:
@@ -427,35 +414,24 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
         solve(np.arange(dimension)[:, None])
         return RipEstimate(order, max(worst, 0.0), worst_support, total)
     off = _gram_offsets(matrix)
-    seeded = np.empty(0, dtype=np.int64)  # the seeds' places in the pass, ascending
     finite = np.isfinite(off).all()
     if finite:
         # each distinct seed once, in lexicographic order, so that a tie
         # among them keeps the first
         seeds = sorted(set(map(tuple, _greedy_supports(off, order).tolist())))
         solve(np.array(seeds))
-        seeded = np.array([_place_in_pass(s, dimension) for s in seeds], dtype=np.int64)
         if order > 2:
             tables = _suffix_tables(off)
     above = ~np.tri(dimension, dtype=bool)  # above[i, c]: c > i
     per_chunk = max(1, _CHUNK_BYTES // (8 * dimension))
-    # the (k-1)-prefixes under the subtrees of earlier chunks, kept or not
-    ranked = 0
     for subtrees in _prefix_chunks(order - 2, dimension - 2, per_chunk):
-        last = _last(subtrees)
-        counts = dimension - 2 - last
-        # rank of (P, c) among the (k-1)-prefixes: base[P] + c
-        base = ranked + np.cumsum(counts) - counts - last - 1
-        ranked += int(counts.sum())
         if order > 2 and finite:
-            keep = _subtree_bounds(off, tables, subtrees) >= reach()
-            if not keep.any():
+            subtrees = subtrees[_subtree_bounds(off, tables, subtrees) >= reach()]
+            if not len(subtrees):
                 continue
-            subtrees, base, counts = subtrees[keep], base[keep], counts[keep]
         prefixes = _extend(subtrees, dimension - 1)
-        ranks = np.repeat(base, counts) + prefixes[:, -1]
         for first in range(0, len(prefixes), per_chunk):
-            chunk, rank = prefixes[first:first + per_chunk], ranks[first:first + per_chunk]
+            chunk = prefixes[first:first + per_chunk]
             bound = _prefix_bounds(off, chunk)
             valid = above[chunk[:, -1]]
             bad = valid & ~np.isfinite(bound)
@@ -463,12 +439,6 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
                 p, c = np.unravel_index(np.argmax(bad), bad.shape)
                 raise _not_finite((*chunk[p], c))
             bound[~valid] = np.nan
-            # the seeds among the chunk's supports are solved already
-            lo, hi = np.searchsorted(seeded, (rank[0] * dimension, (rank[-1] + 1) * dimension))
-            seed_rank, seed_column = np.divmod(seeded[lo:hi], dimension)
-            row = np.searchsorted(rank, seed_rank)
-            hit = rank[row] == seed_rank
-            bound[row[hit], seed_column[hit]] = np.nan
             # nonzero's row-major (prefix, column) order is the lexicographic one
             while (above_reach := np.nonzero(bound >= reach()))[0].size:
                 p, c = above_reach[0][:per_solve], above_reach[1][:per_solve]

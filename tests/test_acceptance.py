@@ -20,8 +20,6 @@ from symcs.concentration import (
     jl_min_measurements,
     mgf_lhs_exact,
     mgf_rhs_exact,
-    moment4_exact,
-    pairwise_distortion,
     random_unit_vector,
     row_mgf_bound,
     tail_bound,
@@ -39,6 +37,7 @@ from symcs.imageio import fixture_image, image_recover, write_pgm
 from symcs.rip import delta2_coherence, delta_k_bruteforce, recovery_condition
 from symcs.rng import Stream, derive_seed
 from symcs.solver import basis_pursuit, l0_oracle_small, l1_oracle_small
+from projection_statistics import moment4_exact, pairwise_distortion
 from synthetic_images import synthetic_sparse_image
 
 

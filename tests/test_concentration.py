@@ -15,16 +15,12 @@ from hypothesis import strategies as st
 
 from symcs import concentration
 from symcs.concentration import (
-    DistortionReport,
     TailCheckReport,
     empirical_tails,
     jl_measurement_bound,
     jl_min_measurements,
     mgf_lhs_exact,
     mgf_rhs_exact,
-    moment4_exact,
-    pairwise_distortion,
-    q_statistics,
     random_unit_vector,
     row_mgf_bound,
     tail_bound,
@@ -32,6 +28,12 @@ from symcs.concentration import (
 from symcs.ensembles import gen_measurement, gen_symmetric_sign_matrix
 from symcs.errors import DimensionError, EnumerationTooLargeError
 from symcs.rng import derive_seed
+from projection_statistics import (
+    DistortionReport,
+    moment4_exact,
+    pairwise_distortion,
+    q_statistics,
+)
 
 # Hand-loop enumeration values for dimension 3, three rows, uniform unit
 # alpha, h = 1: the coupled expectation exceeds the independent-rows product.

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcs import ensembles as ens
-from symcs.concentration import pairwise_distortion
 from symcs.errors import DimensionError
 from symcs.rip import delta2_coherence, delta_k_bruteforce, gram_on_support
 from symcs.rng import Stream
 from symcs.solver import basis_pursuit, bpdn, l0_oracle_small, l1_oracle_small, verify_solution
+from projection_statistics import pairwise_distortion
 
 
 def test_symmetric_matrix_mirrors_upper_triangle():

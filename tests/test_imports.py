@@ -1,12 +1,15 @@
-"""Import cost: scipy.linalg loads at the first factorization, not with symcs.
+"""Imports: scipy.linalg loads at the first factorization, not with symcs,
+and every name a module lists in ``__all__`` is defined there.
 
-Each case runs in a fresh interpreter with the package's source directory on
-``PYTHONPATH``, so no module that an earlier test imported can hide a
-module-level ``scipy`` import.
+Each scipy case runs in a fresh interpreter with the package's source
+directory on ``PYTHONPATH``, so no module that an earlier test imported can
+hide a module-level ``scipy`` import.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +73,15 @@ def test_solves_load_scipy_linalg(tmp_path):
     spec_path.write_text(json.dumps(spec))
     assert _probe("sweep", "--spec", str(spec_path)) == (0, True)
     assert _probe("image-demo", "--fixture", "sparse32", "-n", "600", "--seed", "1") == (0, True)
+
+
+# __main__ runs the command line when imported
+_MODULES = [f"symcs.{info.name}" for info in pkgutil.iter_modules(symcs.__path__)
+            if info.name != "__main__"]
+
+
+@pytest.mark.parametrize("name", ["symcs", *_MODULES])
+def test_every_name_in_all_is_defined(name):
+    # a name moved out of a module but left in its __all__ fails here
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
