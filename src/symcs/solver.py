@@ -7,13 +7,24 @@ basis ``W = L^{-1} A`` is cached, so the projection of basis pursuit and the
 Woodbury x-update of ``bpdn`` are both ``v - W^T (W v)``.
 
 Each solve preallocates its work vectors and every step of an iteration
-writes into them with ``out=`` (only the shrink makes a temporary, for the
-signs); ``z`` and ``w`` swap with their next values instead of being
-copied, and the final ``x`` is returned as is.  The dual residual is
-computed only when the primal residual passes its tolerance (and on the last
-iteration, for the report), since the stopping test reads it only then.
+writes into them with ``out=``, the products with ``W`` and ``A`` through
+the arrays' own ``dot``; ``z`` and ``w`` swap with their next values instead
+of being copied, and the final ``x`` is returned as is.  The dual residual
+is computed only when the primal residual passes its tolerance (and on the
+last iteration, for the report), since the stopping test reads it only then.
 Iterates, iteration counts and both reported residuals are bit-identical to
 the plain expression form of the same updates.
+
+The l1 step is one clip: with ``v = u + x``, ``clip(v, -1, 1)`` is the next
+multiplier and ``v - clip(v)`` the shrink of ``v``, the new ``z``.  For
+``|v| < 2**53``, ``v - 1`` and ``v + 1`` are exact, so the clip is bitwise
+``v`` less the reference shrink :func:`soft_threshold`, and the shrink
+differs from it only in the sign of a zero (``+0`` where the reference gives
+``-0``, for ``v`` in ``[-1, 0)``).  That sign never reaches ``x``, the
+multipliers or a residual: ``z`` enters only ``z - u``, where a zero ``z``
+meets a nonzero ``u = v`` or ``v = +0`` (``u`` starts at ``+0``, so ``v`` is
+never ``-0``), and squared norms.  At ``|v| >= 2**53`` the reference's multiplier would
+round to 0 or 2, and the clip gives the exact 1 or -1.
 
 A sign matrix (see :mod:`symcs.ensembles`) is its signs: each float copy a
 solve needs is built by ``ensembles.dense`` where a product needs it and
@@ -29,7 +40,7 @@ first factorization rather than with this module, so a process that solves
 nothing never loads ``scipy.linalg``; a failed factorization raises
 ``numpy.linalg.LinAlgError``, the class scipy's ``LinAlgError`` is.
 
-The ADMM penalty is fixed at 1, so ``soft_threshold`` shrinks at 1, and the
+The ADMM penalty is fixed at 1, so the shrink and the clip are at 1, and the
 stopping tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one
 setting is the iteration cap, ``max_iterations`` (default ``MAX_ITERATIONS``,
 5000).  The final check, :func:`verify_solution`, allows ``FEAS_TOL``
@@ -42,9 +53,10 @@ path, so the two routes can be compared as independent witnesses and are
 never merged.  ``l0_oracle_small`` fits through ``solve_spd``, a hand-written
 Cholesky that uses no ``numpy.linalg`` or scipy solver.
 
-Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly at the bit level:
-every update (products with ``W``, soft thresholding, ball projection from a
-zero start) is odd in IEEE arithmetic.
+Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly: every update
+(products with ``W``, the clip, ball projection from a zero start) is odd in
+IEEE arithmetic, and so is the shrink ``v - clip(v)`` but for its zeros,
+which are ``+0`` either way and, as above, reach nothing.
 """
 
 from __future__ import annotations
@@ -116,9 +128,12 @@ def _check_rhs(rows: int, y: np.ndarray) -> np.ndarray:
 def soft_threshold(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise shrink toward zero: sign(v) * max(|v| - 1, 0).
 
-    The threshold is 1, the reciprocal of the fixed ADMM penalty.  ``out``,
-    a float64 array of the shape of ``values`` (``values`` itself is
-    allowed), receives the result; the arithmetic is the same either way.
+    The reference shrink, off the hot path: the ADMM loops take ``v -
+    clip(v, -1, 1)``, which equals it but for the sign of a zero (see the
+    module docstring).  The threshold is 1, the reciprocal of the fixed ADMM
+    penalty.  ``out``, a float64 array of the shape of ``values`` (``values``
+    itself is allowed), receives the result; the arithmetic is the same
+    either way.
     """
     values = np.asarray(values, dtype=np.float64)
     sign = np.sign(values)
@@ -187,6 +202,9 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     z = np.zeros(width)
     z_new = np.empty(width)
     u = np.zeros(width)
+    clipped = np.empty(width)
+    ones = np.ones(width)
+    minus_ones = np.full(width, -1.0)
     diff = np.empty(width)
     coef = np.empty(n)
     status = "max-iterations"
@@ -196,14 +214,17 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     for it in range(1, max_iterations + 1):
         # x = v - W^T (W v) + particular with v = z - u: the projection
         np.subtract(z, u, out=diff)
-        np.dot(basis, diff, out=coef)
-        np.dot(basis.T, coef, out=x)
+        basis.dot(diff, out=coef)
+        basis.T.dot(coef, out=x)
         np.subtract(diff, x, out=x)
         x += particular
-        # u + x is the shrink input and, less the new z, the next multiplier
+        # v = u + x clipped to [-1, 1] is the next multiplier, and v less
+        # its clip is the shrink of v, the new z
         u += x
-        soft_threshold(u, out=z_new)
-        u -= z_new
+        np.minimum(u, ones, out=clipped)
+        np.maximum(clipped, minus_ones, out=clipped)
+        np.subtract(u, clipped, out=z_new)
+        u, clipped = clipped, u
         np.subtract(x, z_new, out=diff)
         primal = math.sqrt(diff.dot(diff))
         if primal <= PRIMAL_TOL or it == max_iterations:
@@ -261,6 +282,9 @@ def bpdn(
     z = np.zeros(width)
     z_new = np.empty(width)
     u1 = np.zeros(width)
+    clipped = np.empty(width)
+    ones = np.ones(width)
+    minus_ones = np.full(width, -1.0)
     rhs = np.empty(width)
     diff = np.empty(width)
     ax = np.empty(n)
@@ -276,17 +300,20 @@ def bpdn(
     for it in range(1, max_iterations + 1):
         # x = b - W^T (W b) with b = (z - u1) + A^T (w - u2): the Woodbury update
         np.subtract(w, u2, out=gap)
-        np.dot(a.T, gap, out=rhs)
+        a.T.dot(gap, out=rhs)
         np.subtract(z, u1, out=diff)
         np.add(diff, rhs, out=rhs)
-        np.dot(basis, rhs, out=coef)
-        np.dot(basis.T, coef, out=x)
+        basis.dot(rhs, out=coef)
+        basis.T.dot(coef, out=x)
         np.subtract(rhs, x, out=x)
-        np.dot(a, x, out=ax)
-        # x + u1 and Ax + u2 are the prox inputs and, less z and w, the multipliers
+        a.dot(x, out=ax)
+        # x + u1 and Ax + u2 are the prox inputs and, less z and w, the
+        # multipliers; x + u1 clipped to [-1, 1] is that multiplier, as above
         u1 += x
-        soft_threshold(u1, out=z_new)
-        u1 -= z_new
+        np.minimum(u1, ones, out=clipped)
+        np.maximum(clipped, minus_ones, out=clipped)
+        np.subtract(u1, clipped, out=z_new)
+        u1, clipped = clipped, u1
         u2 += ax
         # w is Ax + u2 projected onto the epsilon-ball around y
         np.subtract(u2, y, out=gap)
@@ -303,7 +330,7 @@ def bpdn(
         if primal <= PRIMAL_TOL or it == max_iterations:
             np.subtract(z_new, z, out=diff)
             np.subtract(w_new, w, out=gap)
-            np.dot(a.T, gap, out=rhs)
+            a.T.dot(gap, out=rhs)
             dual = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs)))
             if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
                 status = "converged"

@@ -3,8 +3,8 @@
 The ADMM solvers and the enumeration oracles share no iterate logic, so
 agreement between them on instances with a unique optimum is a genuine
 two-route check.  Sign symmetry (negating the data negates the solution) is
-asserted at the bit level because every ADMM update is odd in IEEE
-arithmetic.
+asserted at the bit level because every ADMM update that reaches the
+solution is odd in IEEE arithmetic.
 """
 
 import hashlib
@@ -475,6 +475,82 @@ def test_admm_results_are_frozen(name):
     if fingerprint(*expected) != FROZEN_RESULTS[name]:
         pytest.skip("this BLAS rounds differently from the build the digests come from")
     assert got == FROZEN_RESULTS[name]
+
+
+def hadamard_case():
+    # 24 rows of the 64-point Sylvester Hadamard matrix: A A^T = 64 I, so the
+    # factor is 8 I, W = A / 8 and the particular solution A^T y / 64 are
+    # exact, and the integer sums of A^T y leave exact zeros in it
+    from scipy.linalg import hadamard
+
+    rows = np.sort(Stream(64).sample_without_replacement(64, 24))
+    a = hadamard(64)[rows].astype(np.float64)
+    truth = np.zeros(64)
+    truth[[3, 17, 40]] = [2.0, -1.0, 3.0]
+    return a, a @ truth
+
+
+def widened_cases():
+    """Converged and capped instances on every ensemble, and the Hadamard one."""
+    cases = []
+    for index, ensemble in enumerate(ENSEMBLES):
+        mat = gen_measurement(ensemble, 16, 32, 40 + index)
+        for label, sparsity, cap in (("converged", 2, MAX_ITERATIONS), ("capped", 9, 30)):
+            sig = plant_signal(32, sparsity, "gaussian", derive_seed(41, [index, sparsity]))
+            cases.append((f"{ensemble}-{label}", mat, mat.entries, mat.entries @ sig.vector, cap))
+    a, y = hadamard_case()
+    cases.append(("hadamard-converged", a, a, y, MAX_ITERATIONS))
+    cases.append(("hadamard-capped", a, a, y, 4))
+    return cases
+
+
+def test_hadamard_particular_solution_has_exact_zeros():
+    a, y = hadamard_case()
+    lower = cholesky(a @ a.T, lower=True)
+    assert np.array_equal(lower, 8.0 * np.eye(24))
+    particular = solve_triangular(lower, a, lower=True).T @ solve_triangular(lower, y, lower=True)
+    assert np.array_equal(particular, a.T @ y / 64.0)
+    assert 0 < np.count_nonzero(particular == 0.0) < 64
+
+
+@pytest.mark.parametrize("case", widened_cases(), ids=lambda case: case[0])
+def test_admm_loops_match_their_expressions(case):
+    name, matrix, a, y, cap = case
+    res = basis_pursuit(matrix, y, cap)
+    assert res.status == ("max-iterations" if name.endswith("capped") else "converged")
+    assert fingerprint(res.solution, res.iterations, res.status, res.primal_residual,
+                       res.dual_residual) == fingerprint(*expression_basis_pursuit(a, y, cap))
+    epsilon = 0.1 * float(np.linalg.norm(y))
+    res = bpdn(matrix, y, epsilon, cap)
+    (x, iterations, status, primal, dual), _ = expression_bpdn(a, y, epsilon, cap)
+    # a capped iterate outside the ball fails bpdn's closing check
+    if not verify_solution(a, x, y, epsilon):
+        status = "infeasible-detected"
+    assert fingerprint(res.solution, res.iterations, res.status, res.primal_residual,
+                       res.dual_residual) == fingerprint(x, iterations, status, primal, dual)
+
+
+def test_clip_step_reproduces_shrink_and_multiplier():
+    # the loops take the multiplier as v clipped to [-1, 1] and the shrink as
+    # v less that clip; below 2**53 the first is v less the shrink, bitwise
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, tiny, 3 * tiny, np.finfo(np.float64).tiny, 1e-300, 0.25, 0.5, 1.0,
+             1.5, 2.0, 3.0, 2.0**26 + 0.5, 2.0**52 - 1.0, 2.0**52]
+    near = [np.nextafter(e, toward) for e in edges for toward in (-np.inf, np.inf)]
+    spread = np.random.default_rng(0).uniform(-52.0, 52.0, 2000)
+    magnitudes = np.abs(np.concatenate([edges, near, np.exp2(spread)]))
+    magnitudes = magnitudes[magnitudes <= 2.0**52]
+    v = np.concatenate([magnitudes, -magnitudes])
+    clipped = np.maximum(np.minimum(v, 1.0), -1.0)
+    shrink = soft_threshold(v)
+    assert clipped.tobytes() == (v - shrink).tobytes()
+    # v less its clip is the shrink but for the sign of zero, which is +0 where
+    # the reference gives -0: exactly on [-1, 0)
+    step = v - clipped
+    assert np.array_equal(step, shrink)
+    sign_differs = np.signbit(step) != np.signbit(shrink)
+    assert np.array_equal(sign_differs, (v >= -1.0) & (v < 0.0))
+    assert not np.signbit(step[sign_differs]).any() and (shrink[sign_differs] == 0.0).all()
 
 
 def test_soft_threshold_known_values():
