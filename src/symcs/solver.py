@@ -44,7 +44,11 @@ The ADMM penalty is fixed at 1, so the shrink and the clip are at 1, and the
 stopping tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one
 setting is the iteration cap, ``max_iterations`` (default ``MAX_ITERATIONS``,
 5000).  The final check, :func:`verify_solution`, allows ``FEAS_TOL``
-(1e-6) relative slack.
+(1e-6) relative slack.  Both solvers share one argument check and one
+closing step, which sets the status: ``infeasible-detected`` when the last
+iterate fails that check, else ``converged`` when both last residuals are
+within tolerance (the loop's only exit before the cap), else
+``max-iterations``.
 
 ``l1_oracle_small`` and ``l0_oracle_small`` solve the same problems by
 brute-force enumeration (LP vertices, supports) at toy sizes, to the fixed
@@ -96,9 +100,10 @@ MAX_ITERATIONS = 5000
 class SolverResult:
     """Solver outcome: the iterate, iteration count, and final residuals.
 
-    ``status`` is ``"converged"``, ``"max-iterations"``, or
-    ``"infeasible-detected"`` (the equality projection was unavailable or the
-    returned point violates the constraint beyond ``FEAS_TOL``).
+    ``status`` is ``"infeasible-detected"`` when the returned point fails
+    :func:`verify_solution` (or a rank-deficient row space left no
+    projection), else ``"converged"`` when both final residuals are within
+    ``PRIMAL_TOL`` and ``DUAL_TOL``, else ``"max-iterations"``.
     """
 
     solution: np.ndarray
@@ -125,22 +130,41 @@ def _check_rhs(rows: int, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def soft_threshold(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def soft_threshold(values: np.ndarray) -> np.ndarray:
     """Elementwise shrink toward zero: sign(v) * max(|v| - 1, 0).
 
     The reference shrink, off the hot path: the ADMM loops take ``v -
     clip(v, -1, 1)``, which equals it but for the sign of a zero (see the
     module docstring).  The threshold is 1, the reciprocal of the fixed ADMM
-    penalty.  ``out``, a float64 array of the shape of ``values`` (``values``
-    itself is allowed), receives the result; the arithmetic is the same
-    either way.
+    penalty.
     """
     values = np.asarray(values, dtype=np.float64)
-    sign = np.sign(values)
-    out = np.abs(values, out=out)
-    np.subtract(out, 1.0, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.multiply(sign, out, out=out)
+    return np.sign(values) * np.maximum(np.abs(values) - 1.0, 0.0)
+
+
+def _check_args(matrix, y: np.ndarray, max_iterations: int):
+    """Both solvers' argument check; returns the matrix shape and ``y`` as float64."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    n, width = shape(matrix)
+    return n, width, _check_rhs(n, y)
+
+
+def _finish(matrix, x, y, epsilon, iterations, primal, dual) -> SolverResult:
+    """Both solvers' closing step: the status rule of :class:`SolverResult`."""
+    if not verify_solution(matrix, x, y, epsilon):
+        status = "infeasible-detected"
+    elif primal <= PRIMAL_TOL and dual <= DUAL_TOL:
+        status = "converged"
+    else:
+        status = "max-iterations"
+    return SolverResult(
+        solution=x,
+        iterations=iterations,
+        status=status,
+        primal_residual=primal,
+        dual_residual=dual,
+    )
 
 
 def _row_basis(matrix, shift: float):
@@ -180,10 +204,7 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     and no float copy of a sign matrix; the closing check builds one after
     ``W`` is released.
     """
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    n, width = shape(matrix)
-    y = _check_rhs(n, y)
+    n, width, y = _check_args(matrix, y, max_iterations)
     try:
         lower, basis = _row_basis(matrix, 0.0)
     except np.linalg.LinAlgError:
@@ -207,10 +228,6 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     minus_ones = np.full(width, -1.0)
     diff = np.empty(width)
     coef = np.empty(n)
-    status = "max-iterations"
-    iterations = max_iterations
-    primal = math.inf
-    dual = math.inf
     for it in range(1, max_iterations + 1):
         # x = v - W^T (W v) + particular with v = z - u: the projection
         np.subtract(z, u, out=diff)
@@ -231,20 +248,10 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
             np.subtract(z_new, z, out=diff)
             dual = math.sqrt(diff.dot(diff))
             if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
-                status = "converged"
-                iterations = it
                 break
         z, z_new = z_new, z
     del basis
-    if not verify_solution(matrix, x, y):
-        status = "infeasible-detected"
-    return SolverResult(
-        solution=x,
-        iterations=iterations,
-        status=status,
-        primal_residual=primal,
-        dual_residual=dual,
-    )
+    return _finish(matrix, x, y, 0.0, it, primal, dual)
 
 
 def bpdn(
@@ -261,12 +268,9 @@ def bpdn(
     """
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations}")
-    n, width = shape(matrix)
-    y = _check_rhs(n, y)
     if epsilon == 0.0:
         return basis_pursuit(matrix, y, max_iterations)
+    n, width, y = _check_args(matrix, y, max_iterations)
     if float(np.linalg.norm(y)) <= epsilon:
         return SolverResult(
             solution=np.zeros(width),
@@ -293,10 +297,6 @@ def bpdn(
     u2 = np.zeros(n)
     gap = np.empty(n)
     coef = np.empty(n)
-    status = "max-iterations"
-    iterations = max_iterations
-    primal = math.inf
-    dual = math.inf
     for it in range(1, max_iterations + 1):
         # x = b - W^T (W b) with b = (z - u1) + A^T (w - u2): the Woodbury update
         np.subtract(w, u2, out=gap)
@@ -333,21 +333,11 @@ def bpdn(
             a.T.dot(gap, out=rhs)
             dual = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs)))
             if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
-                status = "converged"
-                iterations = it
                 break
         z, z_new = z_new, z
         w, w_new = w_new, w
     del basis, a
-    if not verify_solution(matrix, x, y, epsilon):
-        status = "infeasible-detected"
-    return SolverResult(
-        solution=x,
-        iterations=iterations,
-        status=status,
-        primal_residual=primal,
-        dual_residual=dual,
-    )
+    return _finish(matrix, x, y, epsilon, it, primal, dual)
 
 
 def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) -> bool:
