@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 for usage errors (bad flags or arguments), 2 for
 bad file contents and runtime failures, which includes a diagnostic check
 that ran cleanly and found its property violated.  All stdout output is
-byte-deterministic for fixed inputs at a fixed BLAS thread count; progress
-and status notes go to stderr.
+byte-deterministic for fixed inputs at a fixed BLAS thread count, on any
+number of CPUs: a large solve runs each product with its row basis as two
+fixed halves on two threads, and these give the same bits whether or not
+they run in parallel.  Progress and status notes go to stderr.
 
 Seeds resolve in order: an explicit ``--seed`` flag, then the ``CS_SEED``
 environment variable, then 0.  ``CS_SEED`` is read on each call.

@@ -7,13 +7,32 @@ basis ``W = L^{-1} A`` is cached, so the projection of basis pursuit and the
 Woodbury x-update of ``bpdn`` are both ``v - W^T (W v)``.
 
 Each solve preallocates its work vectors and every step of an iteration
-writes into them with ``out=``, the products with ``W`` and ``A`` through
-the arrays' own ``dot``; ``z`` and ``w`` swap with their next values instead
-of being copied, and the final ``x`` is returned as is.  The dual residual
+writes into them with ``out=``, the products with ``A`` through the array's
+own ``dot``; ``z`` and ``w`` swap with their next values instead of being
+copied, and the final ``x`` is returned as is.  The dual residual
 is computed only when the primal residual passes its tolerance (and on the
 last iteration, for the report), since the stopping test reads it only then.
 Iterates, iteration counts and both reported residuals are bit-identical to
-the plain expression form of the same updates.
+the plain expression form of the same updates (from 2**20 entries of ``W``
+on, with one BLAS thread: see below).
+
+Every product with ``W`` (the particular solution ``W^T L^{-1} y`` too)
+goes through one pair, ``W v`` and ``W^T c``.  Below 2**20 entries of ``W``
+(8 MiB) these are ``W``'s own ``dot``.  From that size on, each runs as two
+fixed halves: ``W v`` splits by rows and ``W^T c`` by columns, at half the
+count rounded down to a multiple of 64, each half one ``np.matmul`` into its
+slice of the output (``ndarray.dot`` would copy a strided row block).  One
+half runs on a single worker thread, started with ``concurrent.futures`` at
+the first such solve, and the other on the calling thread; BLAS releases the
+GIL, so on two CPUs the halves overlap.  With one BLAS thread each output
+entry is still one BLAS dot over its whole length, at the same offset in its
+kernel's blocks, so the bits are those of the unsplit product.  A BLAS that
+runs more threads splits each half again, at other points than it splits
+the whole, so at some shapes the last bits differ from the unsplit
+product's at that thread count.  At any thread count they are the bits of
+the two halves run one after the other: the split depends on the shape
+alone, never on the CPU count or on whether the halves overlap.  The
+products are released with ``W``, before the closing check builds its copy.
 
 The l1 step is one clip: with ``v = u + x``, ``clip(v, -1, 1)`` is the next
 multiplier and ``v - clip(v)`` the shrink of ``v``, the new ``z``.  For
@@ -65,7 +84,9 @@ which are ``+0`` either way and, as above, reach nothing.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -193,6 +214,51 @@ def _row_basis(matrix, shift: float):
     return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
 
 
+# a row basis of at least this many entries (8 MiB) has its products split in
+# two halves on two threads; below it the split costs more than it saves
+_SPLIT_SIZE = 2**20
+
+
+@functools.cache
+def _worker(pid: int):
+    """The one thread that runs a half of each split product.
+
+    Keyed by process id: a forked child inherits the executor but not its
+    thread, so it starts its own.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="symcs-half")
+
+
+def _basis_products(basis: np.ndarray):
+    """Return ``forward(v, out)``, ``out = W v``, and ``backward(c, out)``, ``out = W^T c``.
+
+    ``basis.dot`` and ``basis.T.dot`` below ``_SPLIT_SIZE`` entries, else
+    two fixed halves on two threads (see the module docstring).
+    """
+    if basis.size < _SPLIT_SIZE:
+        return basis.dot, basis.T.dot
+    worker = _worker(os.getpid())
+
+    def halves(first, second, cut):
+        # waits for the worker's half, so no write lands after it returns
+        def product(v, out):
+            half = worker.submit(np.matmul, first, v, out=out[:cut])
+            try:
+                np.matmul(second, v, out=out[cut:])
+            finally:
+                half.result()
+
+        return product
+
+    rows, width = basis.shape
+    r = rows // 2 // 64 * 64
+    k = width // 2 // 64 * 64
+    # np.matmul reads a strided row block where it is; ndarray.dot copies it
+    return halves(basis[:r], basis[r:], r), halves(basis[:, :k].T, basis[:, k:].T, k)
+
+
 def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -> SolverResult:
     """Minimize ``|x|_1`` subject to ``Ax = y`` by ADMM.
 
@@ -217,7 +283,9 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
         )
     from scipy.linalg import solve_triangular
 
-    particular = basis.T @ solve_triangular(lower, y, lower=True)
+    forward, backward = _basis_products(basis)
+    particular = np.empty(width)
+    backward(solve_triangular(lower, y, lower=True), out=particular)
     del lower
     x = np.empty(width)
     z = np.zeros(width)
@@ -231,8 +299,8 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     for it in range(1, max_iterations + 1):
         # x = v - W^T (W v) + particular with v = z - u: the projection
         np.subtract(z, u, out=diff)
-        basis.dot(diff, out=coef)
-        basis.T.dot(coef, out=x)
+        forward(diff, out=coef)
+        backward(coef, out=x)
         np.subtract(diff, x, out=x)
         x += particular
         # v = u + x clipped to [-1, 1] is the next multiplier, and v less
@@ -250,7 +318,8 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
             if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
                 break
         z, z_new = z_new, z
-    del basis
+    # the products hold W too: all three go before the closing check's copy
+    del basis, forward, backward
     return _finish(matrix, x, y, 0.0, it, primal, dual)
 
 
@@ -280,6 +349,7 @@ def bpdn(
             dual_residual=0.0,
         )
     _, basis = _row_basis(matrix, 1.0)
+    forward, backward = _basis_products(basis)
     # the loop multiplies by A and A^T; this copy is built once W is solved
     a = dense(matrix)
     x = np.empty(width)
@@ -303,8 +373,8 @@ def bpdn(
         a.T.dot(gap, out=rhs)
         np.subtract(z, u1, out=diff)
         np.add(diff, rhs, out=rhs)
-        basis.dot(rhs, out=coef)
-        basis.T.dot(coef, out=x)
+        forward(rhs, out=coef)
+        backward(coef, out=x)
         np.subtract(rhs, x, out=x)
         a.dot(x, out=ax)
         # x + u1 and Ax + u2 are the prox inputs and, less z and w, the
@@ -336,7 +406,7 @@ def bpdn(
                 break
         z, z_new = z_new, z
         w, w_new = w_new, w
-    del basis, a
+    del basis, forward, backward, a
     return _finish(matrix, x, y, epsilon, it, primal, dual)
 
 

@@ -9,7 +9,15 @@ solution is odd in IEEE arithmetic.
 
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
+import symcs
 from symcs.ensembles import ENSEMBLES, gen_measurement
 from symcs.errors import (
     DimensionError,
@@ -31,6 +40,7 @@ from symcs.solver import (
     MAX_ITERATIONS,
     PRIMAL_TOL,
     SolverResult,
+    _basis_products,
     _row_basis,
     basis_pursuit,
     bpdn,
@@ -354,6 +364,138 @@ def test_row_basis_of_a_sign_matrix_matches_its_entries_bitwise(ensemble):
         assert fortran.flags.f_contiguous and fortran.tobytes() == before.tobytes()
 
 
+def whole_products(basis, v, c):
+    return basis.dot(v), basis.T.dot(c)
+
+
+def sequential_halves(basis, v, c):
+    """The split products' halves, one after the other on the calling thread."""
+    r, k = basis.shape[0] // 2 // 64 * 64, basis.shape[1] // 2 // 64 * 64
+    return (np.concatenate([basis[:r] @ v, basis[r:] @ v]),
+            np.concatenate([basis[:, :k].T @ c, basis[:, k:].T @ c]))
+
+
+def split_mismatches(reference):
+    """Shapes, at and above 2**20 entries, whose split products differ from ``reference``."""
+    rng = np.random.default_rng(7)
+    bases = [np.asfortranarray(rng.standard_normal(size)) for size in (
+        (1031, 1117),  # neither count a multiple of 64
+        (1024, 1024),  # exactly 2**20 entries
+        (131, 8009),   # a top half of 64 rows
+        (70, 15000),   # too few rows for a top half: W v stays whole
+    )]
+    bases.append(_row_basis(gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1), 0.0)[1])
+    wrong = []
+    for basis in bases:
+        assert basis.size >= 2**20 and basis.flags.f_contiguous
+        forward, backward = _basis_products(basis)
+        rows, width = basis.shape
+        for seed in range(3):
+            v, c = Stream(seed).normals(width), Stream(seed).normals(rows)
+            coef, x = np.full(rows, np.nan), np.full(width, np.nan)
+            forward(v, out=coef)
+            backward(c, out=x)
+            expected = reference(basis, v, c)
+            if coef.tobytes() != expected[0].tobytes() or x.tobytes() != expected[1].tobytes():
+                wrong.append(basis.shape)
+    return wrong
+
+
+def in_one_blas_thread(expression):
+    """What ``expression``, over this module's names, prints in a fresh
+    interpreter whose BLAS runs one thread."""
+    here = Path(__file__).resolve().parent
+    src = str(Path(symcs.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, str(here), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", f"from test_solver import *; print({expression})"],
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                 MKL_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout.strip()
+
+
+def test_split_products_keep_the_bits_of_the_whole_product():
+    # from 2**20 entries on, W v splits by rows and W^T c by columns into two
+    # halves on two threads.  With one BLAS thread every output entry is one
+    # dot at the offset it has in the whole product, so it keeps its bits;
+    # more BLAS threads split each half again, at other points than the whole
+    assert in_one_blas_thread("split_mismatches(whole_products)") == "[]"
+
+
+def test_split_products_do_not_depend_on_the_overlap():
+    # at any BLAS thread count: the bits of the halves run one after the other
+    assert split_mismatches(sequential_halves) == []
+    # one entry below the limit, the products are the array's own methods
+    basis = np.asfortranarray(np.random.default_rng(7).standard_normal((1023, 1025)))
+    forward, backward = _basis_products(basis)
+    assert forward.__self__ is basis and backward.__self__.base is basis
+
+
+def test_split_products_from_several_threads_keep_the_bits():
+    # three callers share the one worker thread, with thread switches forced
+    # often: each caller's outputs must still be its own, bit for bit
+    basis = np.asfortranarray(np.random.default_rng(8).standard_normal((1024, 1100)))
+    forward, backward = _basis_products(basis)
+    vectors = [(Stream(seed).normals(1100), Stream(seed).normals(1024)) for seed in range(3)]
+    mismatches = []
+
+    def caller(v, c):
+        expected = [p.tobytes() for p in sequential_halves(basis, v, c)]
+        coef, x = np.empty(1024), np.empty(1100)
+        for _ in range(20):
+            forward(v, out=coef)
+            backward(c, out=x)
+            if [coef.tobytes(), x.tobytes()] != expected:
+                mismatches.append(v[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=pair) for pair in vectors]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_products_run_in_a_forked_child():
+    # a child forked after a split product inherits the worker's executor
+    # but not its thread; its own split products must still finish
+    basis = np.asfortranarray(np.random.default_rng(9).standard_normal((1024, 1024)))
+    forward, _ = _basis_products(basis)
+    v, coef = Stream(1).normals(1024), np.empty(1024)
+    forward(v, out=coef)
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        try:
+            child_forward, _ = _basis_products(basis)
+            child_forward(v, out=coef)
+            os.write(write, coef.tobytes())
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 30
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            break
+        time.sleep(0.01)
+    with os.fdopen(read, "rb") as pipe:
+        assert pipe.read() == coef.tobytes()
+
+
 def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
     # the first factorization imports scipy.linalg; load it here, so that the
     # peak counts the solve alone, whatever else this module has imported
@@ -362,18 +504,20 @@ def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
 
     # numpy reports its buffers to tracemalloc; the peak counts the int8
     # signs, then the Fortran float copy and the Gram, which become the row
-    # basis and the Cholesky factor in place, then the closing check's copy
-    rows, width = 600, 1024
-    tracemalloc.start()
-    try:
-        matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
-        y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
-        tracemalloc.reset_peak()
-        basis_pursuit(matrix, y, 20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * rows * width
+    # basis and the Cholesky factor in place, then the closing check's copy.
+    # At 520x2048 the products with W split in halves, which must neither
+    # copy their blocks of W nor keep W alive into the closing check
+    for rows, width in ((600, 1024), (520, 2048)):
+        tracemalloc.start()
+        try:
+            matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
+            y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
+            tracemalloc.reset_peak()
+            basis_pursuit(matrix, y, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * rows * width
 
 
 def expression_basis_pursuit(a, y, cap):
@@ -514,7 +658,8 @@ def hadamard_case():
 
 
 def widened_cases():
-    """Converged and capped instances on every ensemble, and the Hadamard one."""
+    """Converged and capped instances on every ensemble and on the Hadamard
+    matrix, and a capped instance large enough to split the products."""
     cases = []
     for index, ensemble in enumerate(ENSEMBLES):
         mat = gen_measurement(ensemble, 16, 32, 40 + index)
@@ -524,6 +669,10 @@ def widened_cases():
     a, y = hadamard_case()
     cases.append(("hadamard-converged", a, a, y, MAX_ITERATIONS))
     cases.append(("hadamard-capped", a, a, y, 4))
+    # 520x2048 is above the 2**20 entries from which the products with W split
+    mat = gen_measurement("partial-symmetric-bernoulli", 520, 2048, 45)
+    sig = plant_signal(2048, 60, "gaussian", derive_seed(41, [5, 60]))
+    cases.append(("split-capped", mat, mat.entries, mat.entries @ sig.vector, 30))
     return cases
 
 
