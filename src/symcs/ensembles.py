@@ -70,6 +70,7 @@ __all__ = [
     "dense",
     "descriptor_from_json",
     "entries_csv",
+    "fill_dense",
     "gen_measurement",
     "gen_symmetric_sign_matrix",
     "shape",
@@ -155,18 +156,25 @@ def shape(matrix) -> tuple:
 
 
 def dense(matrix, order: str = "C") -> np.ndarray:
-    """A fresh float64 copy in memory ``order`` (``"C"`` or ``"F"``), the caller's to overwrite.
+    """A fresh float64 copy in memory ``order`` (``"C"`` or ``"F"``), the caller's to overwrite."""
+    out = np.empty(shape(matrix), order=order)
+    fill_dense(matrix, out)
+    return out
 
-    A sign ensemble's copy is ``signs * scale`` cast straight into ``order``.
+
+def fill_dense(matrix, out: np.ndarray) -> None:
+    """Write the float64 entries of ``matrix`` into ``out``, a float64 array or block of its shape.
+
+    A sign ensemble's entries are its signs cast into ``out`` and then scaled
+    there, so a block of a larger array takes them with no copy besides.
     """
     if not isinstance(matrix, MeasurementMatrix):
-        shape(matrix)
-        return np.array(matrix, dtype=np.float64, order=order)
-    if matrix.signs is None:
-        return np.array(matrix.entries, order=order)
-    out = matrix.signs.astype(np.float64, order=order)
-    out *= matrix.scale
-    return out
+        out[...] = matrix
+    elif matrix.signs is None:
+        out[...] = matrix.entries
+    else:
+        out[...] = matrix.signs
+        out *= matrix.scale
 
 
 def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarray:

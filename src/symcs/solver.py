@@ -1,17 +1,21 @@
 """L1-minimization solvers and tiny exact oracles.
 
-``basis_pursuit`` and ``bpdn`` run ADMM, sized for the experiment sweeps.
-Both share one row-space step: ``shift*I + A A^T = L L^T`` is factored once
-per solve (``shift`` is 0 for basis pursuit and 1 for ``bpdn``) and the row
-basis ``W = L^{-1} A`` is cached, so the projection of basis pursuit and the
-Woodbury x-update of ``bpdn`` are both ``v - W^T (W v)``.
+``basis_pursuit`` and ``bpdn`` run one ADMM loop, sized for the experiment
+sweeps.  ``bpdn`` is basis pursuit on ``(x, r)``: ``min |x|_1`` subject to
+``[A I] (x; r) = y`` and ``|r|_2 <= epsilon``.  Each solve factors the Gram
+of its constraint matrix once, ``A A^T = L L^T`` for basis pursuit and ``I +
+A A^T = L L^T`` for ``bpdn``, and caches the row basis, ``W = L^{-1} A`` or
+``W' = L^{-1} [A I]``; the x-update of both is the projection ``v - W^T (W
+v)`` plus the particular solution ``W^T L^{-1} y`` (``W`` stands for either
+basis below).  The l1 step clips the first N entries; ``bpdn``'s ball block,
+its last n entries, is projected onto the epsilon-ball around 0.
 
 Each solve preallocates its work vectors and every step of an iteration
-writes into them with ``out=``, the products with ``A`` through the array's
-own ``dot``; ``z`` and ``w`` swap with their next values instead of being
-copied, and the final ``x`` is returned as is.  The dual residual
-is computed only when the primal residual passes its tolerance (and on the
-last iteration, for the report), since the stopping test reads it only then.
+writes into them with ``out=``; ``z`` swaps with its next value instead of
+being copied, and the final ``x`` (its first N entries for ``bpdn``) is
+returned as a view.  The dual residual is computed only when the primal
+residual passes its tolerance (and on the last iteration, for the report),
+since the stopping test reads it only then.
 Iterates, iteration counts and both reported residuals are bit-identical to
 the plain expression form of the same updates (from 2**20 entries of ``W``
 on, with one BLAS thread: see below).
@@ -46,12 +50,12 @@ never ``-0``), and squared norms.  At ``|v| >= 2**53`` the reference's multiplie
 round to 0 or 2, and the clip gives the exact 1 or -1.
 
 A sign matrix (see :mod:`symcs.ensembles`) is its signs: each float copy a
-solve needs is built by ``ensembles.dense`` where a product needs it and
-then released.  The row-space step takes the Gram from one Fortran-order
-copy and solves ``W`` in place in it.  Basis pursuit's iterations hold ``W``
-alone, and its closing check builds its copy after ``W`` is gone; ``bpdn``
-multiplies by ``A^T`` every iteration, so it builds one C-order copy for its
-loop once ``W`` is solved.  An array passed in is read, never written.
+solve needs is built from them where a product needs it and then released.
+The row-space step fills one Fortran-order buffer, ``A`` or ``[A I]``, takes
+the Gram from its first N columns and solves ``W`` in place in it.  The
+iterations hold ``W`` alone and never multiply by ``A``; the closing check
+builds its copy after ``W`` is gone.  An array passed in is read, never
+written.
 
 The Gram, the factorization and the triangular solves are scipy's BLAS and
 LAPACK calls (``dsyrk``, ``cholesky``, ``solve_triangular``), imported by the
@@ -77,9 +81,10 @@ never merged.  ``l0_oracle_small`` fits through ``solve_spd``, a hand-written
 Cholesky that uses no ``numpy.linalg`` or scipy solver.
 
 Both ADMM solvers map ``y -> -y`` to ``x -> -x`` exactly: every update
-(products with ``W``, the clip, ball projection from a zero start) is odd in
-IEEE arithmetic, and so is the shrink ``v - clip(v)`` but for its zeros,
-which are ``+0`` either way and, as above, reach nothing.
+(products with ``W``, the clip, the ball projection) is odd in IEEE
+arithmetic, and so is the shrink ``v - clip(v)`` but for its zeros, which
+are ``+0`` either way and, as above, reach nothing; so is the ball block's
+multiplier inside the ball, ``v - v``.
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ensembles import dense, shape
+from .ensembles import dense, fill_dense, shape
 from .errors import DimensionError, EnumerationTooLargeError, InfeasibleError, SingularMatrixError
 
 __all__ = [
@@ -188,29 +193,35 @@ def _finish(matrix, x, y, epsilon, iterations, primal, dual) -> SolverResult:
     )
 
 
-def _row_basis(matrix, shift: float):
-    """Factor ``shift*I + A A^T = L L^T`` once; return ``L`` and ``W = L^{-1} A``.
+def _row_basis(matrix, ball: bool):
+    """Factor ``A A^T = L L^T``, or ``I + A A^T`` with the ball block, once.
 
-    ``W^T W = A^T (shift*I + A A^T)^{-1} A``, so ``v - W^T (W v)`` is the
-    projection onto the null space of ``A`` at ``shift = 0`` and the
-    Woodbury form of ``(I + A^T A)^{-1} v`` at ``shift = 1``.  Raises
-    ``numpy.linalg.LinAlgError`` (the class scipy raises) when the shifted
-    Gram matrix is not positive definite.
+    Returns ``L`` and the row basis ``W = L^{-1} A``, or with the ball block
+    ``W' = L^{-1} [A I] = [W, L^{-1}]``, n x (N+n), since ``I + A A^T`` is
+    the Gram of ``[A I]``.  ``v - W^T (W v)`` is the projection onto the null
+    space of ``A`` or of ``[A I]``.  Raises ``numpy.linalg.LinAlgError`` (the
+    class scipy raises) when ``A A^T`` is not positive definite.
 
-    One fresh Fortran-order copy of the matrix serves both steps: ``dsyrk``
-    takes the lower triangle of the Gram from it (the triangle LAPACK
-    factors in place, bitwise that of ``a @ a.T``), and ``W`` is then solved
-    in place in it.  An array passed in is never written.
+    One fresh Fortran-order buffer serves every step: its first N columns
+    take ``A``, from which ``dsyrk`` takes the lower triangle of ``A A^T``
+    (the triangle LAPACK factors in place, bitwise that of ``a @ a.T``); its
+    last n take the identity, and the basis is solved in place in it.  An
+    array passed in is never written.
     """
     from scipy.linalg import cholesky, solve_triangular
     from scipy.linalg.blas import dsyrk
 
-    a = dense(matrix, "F")
-    gram = dsyrk(1.0, a, lower=1)
-    gram[np.diag_indices_from(gram)] += shift
+    rows, width = shape(matrix)
+    a = np.empty((rows, width + rows if ball else width), order="F")
+    fill_dense(matrix, a[:, :width])
+    gram = dsyrk(1.0, a[:, :width], lower=1)
+    if ball:
+        gram[np.diag_indices_from(gram)] += 1.0
+        a[:, width:] = 0.0
+        np.fill_diagonal(a[:, width:], 1.0)
     lower = cholesky(gram, lower=True, overwrite_a=True)
     # the Gram passed cholesky's finiteness check, and its diagonal is finite
-    # only if every entry is, so the copy needs no second scan
+    # only if every entry is, so the buffer needs no second scan
     return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
 
 
@@ -270,9 +281,48 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
     and no float copy of a sign matrix; the closing check builds one after
     ``W`` is released.
     """
-    n, width, y = _check_args(matrix, y, max_iterations)
+    _, width, y = _check_args(matrix, y, max_iterations)
+    return _admm(matrix, y, width, 0.0, max_iterations)
+
+
+def bpdn(
+    matrix, y: np.ndarray, epsilon: float, max_iterations: int = MAX_ITERATIONS
+) -> SolverResult:
+    """Minimize ``|x|_1`` subject to ``|Ax - y|_2 <= epsilon`` by ADMM.
+
+    This is basis pursuit on ``(x, r)``: minimize ``|x|_1`` subject to ``[A
+    I] (x; r) = y`` and ``|r|_2 <= epsilon``.  The loop is that of
+    :func:`basis_pursuit` over N + n entries, through the row basis ``W' =
+    L^{-1} [A I]`` of ``I + A A^T = L L^T``; its l1 step clips the x block
+    as basis pursuit's does, and projects the r block onto the epsilon-ball
+    around 0.  ``epsilon = 0`` delegates to :func:`basis_pursuit`; ``|y|_2
+    <= epsilon`` returns the zero solution immediately.
+    """
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if epsilon == 0.0:
+        return basis_pursuit(matrix, y, max_iterations)
+    _, width, y = _check_args(matrix, y, max_iterations)
+    if float(np.linalg.norm(y)) <= epsilon:
+        return SolverResult(
+            solution=np.zeros(width),
+            iterations=0,
+            status="converged",
+            primal_residual=0.0,
+            dual_residual=0.0,
+        )
+    return _admm(matrix, y, width, epsilon, max_iterations)
+
+
+def _admm(matrix, y, width, epsilon, max_iterations) -> SolverResult:
+    """Both solvers' ADMM loop: basis pursuit on ``x``, or with ``epsilon >
+    0`` on ``(x, r)`` with the ball block (see :func:`bpdn`).
+
+    The row basis, its products and ``L`` live in this frame alone, so all
+    are released before the closing check builds its copy of the matrix.
+    """
     try:
-        lower, basis = _row_basis(matrix, 0.0)
+        lower, basis = _row_basis(matrix, epsilon > 0.0)
     except np.linalg.LinAlgError:
         return SolverResult(
             solution=np.zeros(width),
@@ -283,19 +333,20 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
         )
     from scipy.linalg import solve_triangular
 
+    rows, size = basis.shape
     forward, backward = _basis_products(basis)
-    particular = np.empty(width)
+    particular = np.empty(size)
     backward(solve_triangular(lower, y, lower=True), out=particular)
     del lower
-    x = np.empty(width)
-    z = np.zeros(width)
-    z_new = np.empty(width)
-    u = np.zeros(width)
-    clipped = np.empty(width)
-    ones = np.ones(width)
-    minus_ones = np.full(width, -1.0)
-    diff = np.empty(width)
-    coef = np.empty(n)
+    x = np.empty(size)
+    z = np.zeros(size)
+    z_new = np.empty(size)
+    u = np.zeros(size)
+    clipped = np.empty(size)
+    ones = np.ones(size)
+    minus_ones = np.full(size, -1.0)
+    diff = np.empty(size)
+    coef = np.empty(rows)
     for it in range(1, max_iterations + 1):
         # x = v - W^T (W v) + particular with v = z - u: the projection
         np.subtract(z, u, out=diff)
@@ -309,6 +360,12 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
         np.minimum(u, ones, out=clipped)
         np.maximum(clipped, minus_ones, out=clipped)
         np.subtract(u, clipped, out=z_new)
+        if epsilon:
+            # the ball block of v: z takes its projection onto the
+            # epsilon-ball around 0, and the multiplier what that takes off
+            v, ball = u[width:], z_new[width:]
+            np.multiply(v, epsilon / max(math.sqrt(v.dot(v)), epsilon), out=ball)
+            np.subtract(v, ball, out=clipped[width:])
         u, clipped = clipped, u
         np.subtract(x, z_new, out=diff)
         primal = math.sqrt(diff.dot(diff))
@@ -320,94 +377,7 @@ def basis_pursuit(matrix, y: np.ndarray, max_iterations: int = MAX_ITERATIONS) -
         z, z_new = z_new, z
     # the products hold W too: all three go before the closing check's copy
     del basis, forward, backward
-    return _finish(matrix, x, y, 0.0, it, primal, dual)
-
-
-def bpdn(
-    matrix, y: np.ndarray, epsilon: float, max_iterations: int = MAX_ITERATIONS
-) -> SolverResult:
-    """Minimize ``|x|_1`` subject to ``|Ax - y|_2 <= epsilon`` by ADMM.
-
-    Three-block splitting: an l1 copy of ``x``, a residual copy of ``Ax``
-    projected onto the epsilon-ball around ``y``, and an x-update solved
-    through the Woodbury identity with the row basis ``W`` of
-    ``I + A A^T = L L^T``.  ``epsilon = 0`` delegates to
-    :func:`basis_pursuit`; ``|y|_2 <= epsilon`` returns the zero solution
-    immediately.
-    """
-    if not epsilon >= 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-    if epsilon == 0.0:
-        return basis_pursuit(matrix, y, max_iterations)
-    n, width, y = _check_args(matrix, y, max_iterations)
-    if float(np.linalg.norm(y)) <= epsilon:
-        return SolverResult(
-            solution=np.zeros(width),
-            iterations=0,
-            status="converged",
-            primal_residual=0.0,
-            dual_residual=0.0,
-        )
-    _, basis = _row_basis(matrix, 1.0)
-    forward, backward = _basis_products(basis)
-    # the loop multiplies by A and A^T; this copy is built once W is solved
-    a = dense(matrix)
-    x = np.empty(width)
-    z = np.zeros(width)
-    z_new = np.empty(width)
-    u1 = np.zeros(width)
-    clipped = np.empty(width)
-    ones = np.ones(width)
-    minus_ones = np.full(width, -1.0)
-    rhs = np.empty(width)
-    diff = np.empty(width)
-    ax = np.empty(n)
-    w = np.zeros(n)
-    w_new = np.empty(n)
-    u2 = np.zeros(n)
-    gap = np.empty(n)
-    coef = np.empty(n)
-    for it in range(1, max_iterations + 1):
-        # x = b - W^T (W b) with b = (z - u1) + A^T (w - u2): the Woodbury update
-        np.subtract(w, u2, out=gap)
-        a.T.dot(gap, out=rhs)
-        np.subtract(z, u1, out=diff)
-        np.add(diff, rhs, out=rhs)
-        forward(rhs, out=coef)
-        backward(coef, out=x)
-        np.subtract(rhs, x, out=x)
-        a.dot(x, out=ax)
-        # x + u1 and Ax + u2 are the prox inputs and, less z and w, the
-        # multipliers; x + u1 clipped to [-1, 1] is that multiplier, as above
-        u1 += x
-        np.minimum(u1, ones, out=clipped)
-        np.maximum(clipped, minus_ones, out=clipped)
-        np.subtract(u1, clipped, out=z_new)
-        u1, clipped = clipped, u1
-        u2 += ax
-        # w is Ax + u2 projected onto the epsilon-ball around y
-        np.subtract(u2, y, out=gap)
-        norm = math.sqrt(gap.dot(gap))
-        if norm <= epsilon:
-            np.copyto(w_new, u2)
-        else:
-            np.multiply(gap, epsilon / norm, out=w_new)
-            w_new += y
-        u2 -= w_new
-        np.subtract(x, z_new, out=diff)
-        np.subtract(ax, w_new, out=gap)
-        primal = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(gap.dot(gap)))
-        if primal <= PRIMAL_TOL or it == max_iterations:
-            np.subtract(z_new, z, out=diff)
-            np.subtract(w_new, w, out=gap)
-            a.T.dot(gap, out=rhs)
-            dual = math.hypot(math.sqrt(diff.dot(diff)), math.sqrt(rhs.dot(rhs)))
-            if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
-                break
-        z, z_new = z_new, z
-        w, w_new = w_new, w
-    del basis, forward, backward, a
-    return _finish(matrix, x, y, epsilon, it, primal, dual)
+    return _finish(matrix, x[:width], y, epsilon, it, primal, dual)
 
 
 def verify_solution(matrix, x: np.ndarray, y: np.ndarray, epsilon: float = 0.0) -> bool:

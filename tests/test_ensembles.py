@@ -259,6 +259,11 @@ def test_sign_matrix_builds_its_floats_from_the_signs(name, rows, dimension):
     # every build is a fresh array the caller may overwrite
     assert not np.shares_memory(entries, matrix.entries)
     assert not np.shares_memory(fortran, ens.dense(matrix, "F"))
+    # the entries written into a block of a wider array, the rest untouched
+    wide = np.zeros((rows, dimension + 3), order="F")
+    ens.fill_dense(matrix, wide[:, :dimension])
+    assert wide[:, :dimension].tobytes(order="C") == expected.tobytes()
+    assert not wide[:, dimension:].any()
 
 
 def test_an_array_reads_as_a_fresh_float64_copy():

@@ -319,19 +319,26 @@ def test_basis_pursuit_never_beats_nor_misses_the_planted_objective(seed):
 def test_row_basis_factors_the_gram_in_place_bitwise(ensemble):
     for rows, width in ((1, 1), (5, 5), (37, 64), (100, 256)):
         a = gen_measurement(ensemble, rows, width, 3).entries
-        for shift in (0.0, 1.0):
+        for ball in (False, True):
             gram = a @ a.T
             assert gram.tobytes() == gram.T.tobytes()
-            gram[np.diag_indices_from(gram)] += shift
+            if ball:
+                gram[np.diag_indices_from(gram)] += 1.0
             try:
                 lower = cholesky(gram, lower=True)
             except LinAlgError:
                 with pytest.raises(LinAlgError):
-                    _row_basis(a, shift)
+                    _row_basis(a, ball)
                 continue
-            got_lower, got_basis = _row_basis(a, shift)
+            got_lower, got_basis = _row_basis(a, ball)
             assert got_lower.tobytes() == lower.tobytes()
-            assert got_basis.tobytes() == solve_triangular(lower, a, lower=True).tobytes()
+            assert got_basis.shape == (rows, width + rows * ball)
+            # with the ball block: W of the shifted Gram, then L^{-1}
+            basis = solve_triangular(lower, a, lower=True)
+            assert got_basis[:, :width].tobytes() == basis.tobytes()
+            if ball:
+                inverse = solve_triangular(lower, np.eye(rows), lower=True)
+                assert got_basis[:, width:].tobytes() == inverse.tobytes()
 
 
 @pytest.mark.parametrize("ensemble", ["partial-symmetric-bernoulli", "iid-bernoulli"])
@@ -343,16 +350,16 @@ def test_row_basis_of_a_sign_matrix_matches_its_entries_bitwise(ensemble):
         # the row-space step solves W in a Fortran-order copy, the order this
         # array already has: it must still be copied, not solved in place
         fortran = np.asfortranarray(a)
-        for shift in (0.0, 1.0):
+        for ball in (False, True):
             try:
-                expected = _row_basis(a, shift)
+                expected = _row_basis(a, ball)
             except LinAlgError:
                 for source in (matrix, fortran):
                     with pytest.raises(LinAlgError):
-                        _row_basis(source, shift)
+                        _row_basis(source, ball)
                 continue
             for source in (matrix, fortran):
-                got = _row_basis(source, shift)
+                got = _row_basis(source, ball)
                 for mine, theirs in zip(got, expected):
                     assert mine.tobytes() == theirs.tobytes()
         y = a @ Stream(rows).normals(width)
@@ -384,7 +391,8 @@ def split_mismatches(reference):
         (131, 8009),   # a top half of 64 rows
         (70, 15000),   # too few rows for a top half: W v stays whole
     )]
-    bases.append(_row_basis(gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1), 0.0)[1])
+    matrix = gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1)
+    bases += [_row_basis(matrix, ball)[1] for ball in (False, True)]
     wrong = []
     for basis in bases:
         assert basis.size >= 2**20 and basis.flags.f_contiguous
@@ -496,28 +504,40 @@ def test_split_products_run_in_a_forked_child():
         assert pipe.read() == coef.tobytes()
 
 
-def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
+def solve_peaks(rows, width):
+    """The tracemalloc peaks of ``basis_pursuit`` and ``bpdn``, capped at 20
+    iterations, on one symmetric draw: the int8 signs are counted in each."""
     # the first factorization imports scipy.linalg; load it here, so that the
     # peak counts the solve alone, whatever else this module has imported
     import scipy.linalg  # noqa: F401
     import scipy.linalg.blas  # noqa: F401
 
-    # numpy reports its buffers to tracemalloc; the peak counts the int8
-    # signs, then the Fortran float copy and the Gram, which become the row
-    # basis and the Cholesky factor in place, then the closing check's copy.
-    # At 520x2048 the products with W split in halves, which must neither
-    # copy their blocks of W nor keep W alive into the closing check
-    for rows, width in ((600, 1024), (520, 2048)):
-        tracemalloc.start()
-        try:
-            matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
-            y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
+    peaks = []
+    tracemalloc.start()
+    try:
+        matrix = gen_measurement("partial-symmetric-bernoulli", rows, width, 1)
+        y = matrix.entries @ plant_signal(width, 20, "pm1", 2).vector
+        for solve in (lambda: basis_pursuit(matrix, y, 20),
+                      lambda: bpdn(matrix, y, 0.1 * float(np.linalg.norm(y)), 20)):
             tracemalloc.reset_peak()
-            basis_pursuit(matrix, y, 20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * rows * width
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+def test_basis_pursuit_holds_under_two_float_copies_at_its_peak():
+    # numpy reports its buffers to tracemalloc; the peak counts the int8
+    # signs, then the Fortran float buffer and the Gram, which become the row
+    # basis and the Cholesky factor in place, then the closing check's copy.
+    # bpdn's buffer holds n more columns, the identity block of [A I].  At
+    # 520x2048 the products with the basis split in halves, which must
+    # neither copy their blocks of it nor keep it alive into the closing check
+    for rows, width in ((600, 1024), (520, 2048)):
+        bp_peak, bpdn_peak = solve_peaks(rows, width)
+        assert bp_peak < 2 * 8 * rows * width
+        assert bpdn_peak < 8 * rows * (2 * width + rows)
 
 
 def expression_basis_pursuit(a, y, cap):
@@ -542,13 +562,46 @@ def expression_basis_pursuit(a, y, cap):
 
 
 def expression_bpdn(a, y, epsilon, cap):
-    """The ADMM loop of ``bpdn`` written as plain array expressions.
+    """The ADMM loop of ``bpdn`` written as plain array expressions: basis
+    pursuit on ``q = (x, r)`` over ``[A I]``, with ``r`` in the epsilon-ball.
 
-    Returns the result and the number of iterations whose ``Ax + u2`` fell
+    Returns the result and the number of iterations whose ball block fell
     inside the ball, where the projection leaves it unchanged.
     """
     n, width = a.shape
     inside = 0
+    lower = cholesky(np.eye(n) + a @ a.T, lower=True)
+    basis = solve_triangular(lower, np.hstack([a, np.eye(n)]), lower=True)
+    particular = basis.T @ solve_triangular(lower, y, lower=True)
+    z = u = q = np.zeros(width + n)
+    status, iterations, primal, dual = "max-iterations", cap, math.inf, math.inf
+    for it in range(1, cap + 1):
+        v = z - u
+        q = v - basis.T @ (basis @ v) + particular
+        z_old = z
+        s, r = (q + u)[:width], (q + u)[width:]
+        norm = float(np.linalg.norm(r))
+        inside += norm <= epsilon
+        z = np.concatenate([np.sign(s) * np.maximum(np.abs(s) - 1.0, 0.0),
+                            r if norm <= epsilon else r * (epsilon / norm)])
+        u = u + q - z
+        primal = float(np.linalg.norm(q - z))
+        dual = float(np.linalg.norm(z - z_old))
+        if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
+            status, iterations = "converged", it
+            break
+    return (q[:width], iterations, status, primal, dual), inside
+
+
+def woodbury_bpdn(a, y, epsilon, cap):
+    """``bpdn``'s earlier three-block ADMM loop as plain array expressions.
+
+    An l1 copy of ``x``, a copy of ``Ax`` projected onto the epsilon-ball
+    around ``y``, and an x-update through the Woodbury identity.  The same
+    iterates as :func:`expression_bpdn` in exact arithmetic, with another
+    dual residual; a witness that agrees to a tolerance, not to the bit.
+    """
+    n, width = a.shape
     lower = cholesky(np.eye(n) + a @ a.T, lower=True)
     basis = solve_triangular(lower, a, lower=True)
     z = u1 = x = np.zeros(width)
@@ -562,7 +615,6 @@ def expression_bpdn(a, y, epsilon, cap):
         z = np.sign(x + u1) * np.maximum(np.abs(x + u1) - 1.0, 0.0)
         gap = ax + u2 - y
         norm = float(np.linalg.norm(gap))
-        inside += norm <= epsilon
         w = ax + u2 if norm <= epsilon else y + gap * (epsilon / norm)
         u1 = u1 + x - z
         u2 = u2 + ax - w
@@ -573,7 +625,7 @@ def expression_bpdn(a, y, epsilon, cap):
         if primal <= PRIMAL_TOL and dual <= DUAL_TOL:
             status, iterations = "converged", it
             break
-    return (x, iterations, status, primal, dual), inside
+    return x, iterations, status, primal, dual
 
 
 def frozen_case(name):
@@ -601,10 +653,10 @@ def fingerprint(solution, iterations, status, primal, dual):
             repr(primal), repr(dual))
 
 
-# sha256 of solution.tobytes(), iterations, status, repr of both residuals,
-# from the loops before they moved to preallocated buffers (OpenBLAS 0.3.31,
-# x86-64 with AVX-512, one thread); bpdn-ball-inactive, rescaled to penalty
-# 1 when the penalty became a constant, from expression_bpdn on that build
+# sha256 of solution.tobytes(), iterations, status, repr of both residuals
+# (OpenBLAS 0.3.31, x86-64 with AVX-512, one thread): the bp-* cases from the
+# loops before they moved to preallocated buffers, the bpdn-* cases from
+# expression_bpdn once bpdn became basis pursuit on (x, r)
 FROZEN_RESULTS = {
     "bp-converged": (
         "96541de96e012b081bd68ec8372ce253436ba3e4877fd8a958835c31a3488666",
@@ -613,14 +665,14 @@ FROZEN_RESULTS = {
         "9a0b7c44852c84ffed9be5bb661baab0475f6a6fbfab2e55a323dc378c6e7fff",
         20, "max-iterations", "0.006287399517998493", "0.023765018000436792"),
     "bpdn-converged": (
-        "b704d83308134535535ebfd1e42344d624a8562258729248ae63aa3e949c06da",
-        166, "converged", "9.568811616013865e-08", "3.868373889706874e-08"),
+        "58d25c339236f622b7e1f153095b01c367b21cd9dd824392968194df9eb13974",
+        165, "converged", "9.397550244457141e-08", "1.818872330272287e-08"),
     "bpdn-capped": (
-        "2c40b3845695c965b8b96120112a7cb91a98c652cebddd3313a20705a57d3421",
-        25, "max-iterations", "0.02358392057835549", "0.024109475969638416"),
+        "0ebf4370018ed6ba92f2fd50a45c2fb69eccad61e91169fcaa0fdd0345575aa7",
+        25, "max-iterations", "0.02333021177071174", "0.01842375724429554"),
     "bpdn-ball-inactive": (
-        "f9cb87a073dd6831218bec292e601d8677cabd5d5fac21b06b8568c2a972df3d",
-        417, "converged", "9.435709324203564e-08", "9.212068384279422e-08"),
+        "cf057244bb30fa99fc55d65c947747adb104ed98d6bfd7bf1b45269a9cd08c97",
+        422, "converged", "9.166460398706096e-08", "7.538316327399114e-08"),
 }
 
 
@@ -700,6 +752,45 @@ def test_admm_loops_match_their_expressions(case):
         status = "infeasible-detected"
     assert fingerprint(res.solution, res.iterations, res.status, res.primal_residual,
                        res.dual_residual) == fingerprint(x, iterations, status, primal, dual)
+
+
+def witness_cases():
+    """Every converged widened case at the radius the loops test there, and
+    check 9's trials at sigma 0.2 and 1.0, as ``run_trial`` draws them."""
+    cases = [(name, matrix, a, y, 0.1 * float(np.linalg.norm(y)))
+             for name, matrix, a, y, _ in widened_cases() if name.endswith("-converged")]
+    for axis_index, sigma in ((1, 0.2), (5, 1.0)):
+        for t in range(30):
+            seed = derive_seed(107, [0, axis_index, t])
+            mat = gen_measurement("partial-symmetric-bernoulli", 100, 256, derive_seed(seed, [0]))
+            signal = plant_signal(256, 20, "pm1", derive_seed(seed, [1])).vector
+            noise = sigma * Stream(derive_seed(seed, [2])).normals(100)
+            cases.append((f"check9-sigma{sigma}-{t}", mat, mat.entries,
+                          mat.entries @ signal + noise, float(np.linalg.norm(noise))))
+    return cases
+
+
+# the largest disagreements measured over witness_cases were 8.5e-7 in the
+# objective (check 9, sigma 1.0, trial 1) and 4.4e-7 in the solution (trial
+# 14), both relative to max(1, the witness's value); 1e-5 leaves a margin of
+# more than ten
+WITNESS_TOL = 1e-5
+
+
+@pytest.mark.parametrize("case", witness_cases(), ids=lambda case: case[0])
+def test_bpdn_agrees_with_the_three_block_form(case):
+    # two ADMM splittings of one convex problem: both converge to feasible
+    # points whose objectives and solutions agree to the witness tolerance
+    _, matrix, a, y, epsilon = case
+    res = bpdn(matrix, y, epsilon)
+    x, _, status, _, _ = woodbury_bpdn(a, y, epsilon, MAX_ITERATIONS)
+    assert res.status == status == "converged"
+    assert verify_solution(matrix, res.solution, y, epsilon)
+    assert verify_solution(matrix, x, y, epsilon)
+    objective = float(np.abs(x).sum())
+    assert abs(res.objective - objective) <= WITNESS_TOL * max(1.0, objective)
+    norm = float(np.linalg.norm(x))
+    assert float(np.linalg.norm(res.solution - x)) <= WITNESS_TOL * max(1.0, norm)
 
 
 def test_clip_step_reproduces_shrink_and_multiplier():
