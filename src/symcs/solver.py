@@ -38,6 +38,33 @@ the two halves run one after the other: the split depends on the shape
 alone, never on the CPU count or on whether the halves overlap.  The
 products are released with ``W``, before the closing check builds its copy.
 
+From the same size on, the row-space step solves ``W = L^{-1} A`` (or
+``W'``) as two column halves, cut at the multiple of 192 nearest half the
+columns, one BLAS ``dtrsm`` call each, on the worker thread and the calling
+thread.  ``dtrsm`` is the function pointer that ``scipy.linalg.cython_blas``
+exports in its ``dtrsm`` capsule, called through ``ctypes``, which releases
+the GIL (``solve_triangular`` holds it); ``ctypes`` and ``cython_blas`` are
+imported at the first split solve.  ``solve_triangular`` is LAPACK
+``dtrtrs``, one call of the same ``dtrsm`` over every column, and each column
+is solved on its own; with one BLAS thread the halves keep its bits as long
+as the cut keeps the blocks of columns that OpenBLAS hands its kernels.
+Cuts at other multiples of 64 moved the last bits of up to 12 columns next
+to the cut at some shapes (1031x1117 among them, OpenBLAS 0.3.30 with its
+SkylakeX kernels), and cuts at multiples of 24 kept them all; 192 is a
+multiple of both.  At any BLAS thread count the bits are those of the two
+halves solved one after the other, as with the products.  When scipy
+exports no such capsule, or one whose signature string is not
+``_DTRSM_SIGNATURE``, the step falls back to one ``solve_triangular`` call.
+Before each call the dtype, order, shape and leading dimension of both
+operands are checked, since a wrong stride in a ``ctypes`` call writes out
+of bounds where numpy would raise.
+
+The Gram stays one ``dsyrk`` call and ``cholesky`` one LAPACK call, each on
+one thread.  Row blocks of ``np.matmul``, which would overlap, give the bits
+of ``dsyrk``'s lower triangle only at some widths (4096 and 2048, but not
+1117 or 2568): OpenBLAS splits the inner dimension of ``gemm`` and of
+``syrk`` into blocks at different points.
+
 The l1 step is one clip: with ``v = u + x``, ``clip(v, -1, 1)`` is the next
 multiplier and ``v - clip(v)`` the shrink of ``v``, the new ``z``.  For
 ``|v| < 2**53``, ``v - 1`` and ``v + 1`` are exact, so the clip is bitwise
@@ -58,10 +85,11 @@ builds its copy after ``W`` is gone.  An array passed in is read, never
 written.
 
 The Gram, the factorization and the triangular solves are scipy's BLAS and
-LAPACK calls (``dsyrk``, ``cholesky``, ``solve_triangular``), imported by the
-first factorization rather than with this module, so a process that solves
-nothing never loads ``scipy.linalg``; a failed factorization raises
-``numpy.linalg.LinAlgError``, the class scipy's ``LinAlgError`` is.
+LAPACK calls (``dsyrk``, ``cholesky``, ``solve_triangular`` or, split,
+``dtrsm``), imported by the first factorization rather than with this
+module, so a process that solves nothing never loads ``scipy.linalg``; a
+failed factorization raises ``numpy.linalg.LinAlgError``, the class scipy's
+``LinAlgError`` is.
 
 The ADMM penalty is fixed at 1, so the shrink and the clip are at 1, and the
 stopping tolerances at ``PRIMAL_TOL`` and ``DUAL_TOL`` (1e-7).  The one
@@ -205,8 +233,9 @@ def _row_basis(matrix, ball: bool):
     One fresh Fortran-order buffer serves every step: its first N columns
     take ``A``, from which ``dsyrk`` takes the lower triangle of ``A A^T``
     (the triangle LAPACK factors in place, bitwise that of ``a @ a.T``); its
-    last n take the identity, and the basis is solved in place in it.  An
-    array passed in is never written.
+    last n take the identity, and the basis is solved in place in it, from
+    ``_SPLIT_SIZE`` entries on as two column halves on two threads (see the
+    module docstring).  An array passed in is never written.
     """
     from scipy.linalg import cholesky, solve_triangular
     from scipy.linalg.blas import dsyrk
@@ -222,17 +251,90 @@ def _row_basis(matrix, ball: bool):
     lower = cholesky(gram, lower=True, overwrite_a=True)
     # the Gram passed cholesky's finiteness check, and its diagonal is finite
     # only if every entry is, so the buffer needs no second scan
-    return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
+    trsm = _dtrsm() if a.size >= _SPLIT_SIZE else None
+    if trsm is None:
+        return lower, solve_triangular(lower, a, lower=True, overwrite_b=True, check_finite=False)
+    cut = round(a.shape[1] / (2 * _SOLVE_CUT)) * _SOLVE_CUT
+    _on_two_threads(functools.partial(_solve_lower, trsm, lower, a[:, :cut]),
+                    functools.partial(_solve_lower, trsm, lower, a[:, cut:]))
+    return lower, a
 
 
-# a row basis of at least this many entries (8 MiB) has its products split in
-# two halves on two threads; below it the split costs more than it saves
+# a row basis of at least this many entries (8 MiB) is solved, and has its
+# products split, in two halves on two threads; below it the split costs more
+# than it saves
 _SPLIT_SIZE = 2**20
+# the split solve cuts its columns at a multiple of this (see the module
+# docstring)
+_SOLVE_CUT = 192
+# the name under which scipy.linalg.cython_blas exports dtrsm: its C signature
+_DTRSM_SIGNATURE = (
+    b"void (char *, char *, char *, char *, int *, int *, %s *, %s *, int *, %s *, int *)"
+    % ((b"__pyx_t_5scipy_6linalg_11cython_blas_d",) * 3)
+)
+
+
+@functools.cache
+def _dtrsm():
+    """BLAS ``dtrsm`` as a ctypes function, which releases the GIL, or None.
+
+    The function pointer is the one ``scipy.linalg.cython_blas`` exports in
+    its ``dtrsm`` capsule: the BLAS that scipy's ``solve_triangular`` calls
+    through LAPACK ``dtrtrs``.  None when scipy exports no such capsule, or
+    one whose signature is not ``_DTRSM_SIGNATURE``; the row-space step then
+    solves on one thread.
+    """
+    import ctypes
+    from scipy.linalg import cython_blas
+
+    capsule = getattr(cython_blas, "__pyx_capi__", {}).get("dtrsm")
+    if capsule is None:
+        return None
+    api, obj = ctypes.pythonapi, ctypes.py_object
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))(capsule)
+    if name != _DTRSM_SIGNATURE:
+        return None
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    char, count, real = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    signature = ctypes.CFUNCTYPE(None, char, char, char, char, count, count, real, real, count, real, count)
+    return signature(get_pointer(capsule, name))
+
+
+def _solve_lower(trsm, lower: np.ndarray, block: np.ndarray) -> None:
+    """Overwrite ``block`` with ``L^{-1} block`` by one call of ``trsm`` (:func:`_dtrsm`).
+
+    ``block`` is a run of whole columns of a Fortran-order float64 array
+    with as many rows as ``L``, which is also Fortran-order: BLAS gets its
+    pointer and that row count as the leading dimension.  A wrong stride in a
+    ctypes call writes out of bounds where numpy would raise, so each of
+    these is checked first, and a block that fails raises ``ValueError``.
+    """
+    import ctypes
+
+    rows = lower.shape[0]
+    if not (
+        lower.dtype == block.dtype == np.float64
+        and lower.shape == (rows, rows)
+        and lower.flags.f_contiguous
+        and block.shape[0] == rows
+        and block.strides == (8, 8 * rows)
+        and block.flags.writeable
+        and max(block.shape) < 2**31
+    ):
+        raise ValueError(
+            f"dtrsm takes Fortran-order float64 columns with leading dimension {rows}: "
+            f"got L {lower.dtype} {lower.shape}, a block {block.dtype} {block.shape} "
+            f"with strides {block.strides}"
+        )
+    real = ctypes.POINTER(ctypes.c_double)
+    m, n = ctypes.c_int(rows), ctypes.c_int(block.shape[1])
+    trsm(b"L", b"L", b"N", b"N", m, n, ctypes.c_double(1.0), lower.ctypes.data_as(real), m,
+         block.ctypes.data_as(real), m)
 
 
 @functools.cache
 def _worker(pid: int):
-    """The one thread that runs a half of each split product.
+    """The one thread that runs a half of each split step.
 
     Keyed by process id: a forked child inherits the executor but not its
     thread, so it starts its own.
@@ -240,6 +342,18 @@ def _worker(pid: int):
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="symcs-half")
+
+
+def _on_two_threads(first, second) -> None:
+    """Run ``first()`` on the worker thread and ``second()`` on this one.
+
+    Returns once both are done, so no write of either lands after it.
+    """
+    half = _worker(os.getpid()).submit(first)
+    try:
+        second()
+    finally:
+        half.result()
 
 
 def _basis_products(basis: np.ndarray):
@@ -250,16 +364,11 @@ def _basis_products(basis: np.ndarray):
     """
     if basis.size < _SPLIT_SIZE:
         return basis.dot, basis.T.dot
-    worker = _worker(os.getpid())
 
     def halves(first, second, cut):
-        # waits for the worker's half, so no write lands after it returns
         def product(v, out):
-            half = worker.submit(np.matmul, first, v, out=out[:cut])
-            try:
-                np.matmul(second, v, out=out[cut:])
-            finally:
-                half.result()
+            _on_two_threads(functools.partial(np.matmul, first, v, out=out[:cut]),
+                            functools.partial(np.matmul, second, v, out=out[cut:]))
 
         return product
 

@@ -236,6 +236,37 @@ def test_recover_roundtrip(capsys, tmp_path):
     np.testing.assert_array_equal(file_solution, direct.solution)
 
 
+@pytest.mark.parametrize("radius, status, code", [
+    (0.05, "max-iterations", 0),
+    # the capped iterate misses the ball by more than FEAS_TOL allows
+    (0.01, "infeasible-detected", 2),
+])
+def test_recover_reports_the_cap_on_small_noise(capsys, tmp_path, radius, status, code):
+    # the CI step "Noisy recover" (a planted 4-sparse signal at 40x128) with
+    # its noise rescaled to norm `radius`, the ball radius.  At the fixed ADMM
+    # penalty bpdn's iterations grow about as 1/epsilon (395 at norm 1.0,
+    # 1739 at 0.2), and both solves stop at the default cap.  recover exits 0
+    # on a capped answer that fits the ball, names the status on stderr, and
+    # writes the solution all the same
+    matrix = ensembles.gen_measurement("partial-symmetric-bernoulli", 40, 128, 3)
+    descriptor = tmp_path / "descriptor.json"
+    descriptor.write_text(matrix.descriptor_json())
+    x = np.zeros(128)
+    x[[5, 40, 77, 120]] = [1.0, -2.0, 0.5, 1.5]
+    noise = 0.2 * np.random.default_rng(3).standard_normal(40)
+    noise *= radius / np.linalg.norm(noise)
+    measurements = tmp_path / "y.txt"
+    measurements.write_text("\n".join(repr(float(v)) for v in matrix.entries @ x + noise) + "\n")
+    got = run_cli(
+        capsys,
+        ["recover", "--descriptor", str(descriptor), "--measurements", str(measurements),
+         "--epsilon", repr(float(np.linalg.norm(noise)))],
+    )
+    assert got[0] == code
+    assert got[2].startswith(f"status={status} iterations={solver.MAX_ITERATIONS} ")
+    assert len(got[1].split()) == 128
+
+
 def test_recover_reports_infeasible(capsys, tmp_path):
     # this draw's first 6 rows are linearly dependent, so no projection exists
     matrix = ensembles.gen_measurement("partial-symmetric-bernoulli", 6, 8, 20)

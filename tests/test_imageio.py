@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from importlib import resources
 
+from symcs.ensembles import gen_measurement
 from symcs.errors import DimensionError, PgmParseError
 from symcs.experiments import EXACT_SNR, mse, rel_err
 from symcs.imageio import (
@@ -19,6 +20,7 @@ from symcs.imageio import (
     read_pgm,
     write_pgm,
 )
+from symcs.solver import basis_pursuit
 from synthetic_images import synthetic_sparse_image
 
 
@@ -177,6 +179,27 @@ def test_tiny_image_recovery_is_exact():
         rec.estimate.reshape(-1), img.pixels.astype(np.float64).reshape(-1)
     )
     assert isinstance(rec.snr_db, float)
+
+
+def test_image_recovery_solves_at_the_scale_of_its_pixels():
+    # ADMM's penalty is fixed at 1, and pixels run to 255: image_recover
+    # solves for x / 16 and multiplies back, both exact for a power of two
+    img = fixture_image("sparse32")
+    rec = image_recover(img, 600, 1)
+    matrix = gen_measurement("partial-symmetric-bernoulli", 600, 1024, 1)
+    y = matrix.entries @ img.pixels.astype(np.float64).reshape(-1)
+    expected = 16 * basis_pursuit(matrix, y / 16).solution
+    assert rec.estimate.reshape(-1).tobytes() == expected.tobytes()
+    assert rec.status == "converged" and rec.image == img
+    # solved at the scale of the pixels, this recovery took 432 iterations
+    assert rec.iterations == 159
+
+
+def test_all_zero_image_recovers_exactly():
+    img = gray([[0] * 8] * 8)
+    rec = image_recover(img, 16, 1)
+    assert rec.status == "converged" and rec.image == img
+    assert rec.rel_err == 0.0 and rec.snr_db == EXACT_SNR
 
 
 def test_image_recovery_with_other_ensemble():

@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, cython_blas, solve_triangular
+from scipy.linalg.blas import dsyrk
 
 import symcs
-from symcs.ensembles import ENSEMBLES, gen_measurement
+from symcs.ensembles import ENSEMBLES, dense, gen_measurement, shape
 from symcs.errors import (
     DimensionError,
     EnumerationTooLargeError,
@@ -41,7 +42,9 @@ from symcs.solver import (
     PRIMAL_TOL,
     SolverResult,
     _basis_products,
+    _dtrsm,
     _row_basis,
+    _solve_lower,
     basis_pursuit,
     bpdn,
     l0_oracle_small,
@@ -441,27 +444,159 @@ def test_split_products_do_not_depend_on_the_overlap():
     assert forward.__self__ is basis and backward.__self__.base is basis
 
 
+# row-space steps at and above 2**20 entries of W, whose solve splits, and one
+# below: (ensemble, rows, width, with the ball block)
+ROW_BASIS_CASES = (
+    ("partial-symmetric-bernoulli", 1031, 1117, False),  # no count a multiple of 64
+    ("partial-symmetric-bernoulli", 1031, 1117, True),   # bpdn's [A I] buffer
+    ("iid-bernoulli", 131, 8009, False),
+    ("gaussian", 601, 1800, True),
+    ("partial-symmetric-bernoulli", 512, 2048, False),   # exactly 2**20 entries
+    ("partial-symmetric-bernoulli", 512, 1536, True),    # [A I] of exactly 2**20
+    ("partial-symmetric-bernoulli", 512, 2047, False),   # 512 entries below
+)
+
+
+def scipy_row_basis(matrix, ball, split):
+    """The row-space step as scipy's calls: ``dsyrk``, ``cholesky`` and
+    ``solve_triangular`` on the whole buffer or, with ``split``, on the split
+    solve's two column halves one after the other."""
+    rows, width = shape(matrix)
+    a = dense(matrix, "F")
+    if ball:
+        a = np.asfortranarray(np.hstack([a, np.eye(rows)]))
+    gram = dsyrk(1.0, a[:, :width], lower=1)
+    if ball:
+        gram[np.diag_indices_from(gram)] += 1.0
+    lower = cholesky(gram, lower=True)
+    if not split or a.size < 2**20:
+        return lower, solve_triangular(lower, a, lower=True)
+    cut = round(a.shape[1] / 384) * 192
+    halves = [solve_triangular(lower, block, lower=True) for block in (a[:, :cut], a[:, cut:])]
+    return lower, np.hstack(halves)
+
+
+def row_basis_mismatches(split):
+    """The cases whose ``L`` or ``W`` differ from :func:`scipy_row_basis`'s;
+    fails unless the split solve reaches ``dtrsm``."""
+    assert _dtrsm() is not None
+    wrong = []
+    for ensemble, rows, width, ball in ROW_BASIS_CASES:
+        matrix = gen_measurement(ensemble, rows, width, 1)
+        got = _row_basis(matrix, ball)
+        expected = scipy_row_basis(matrix, ball, split)
+        if any(mine.tobytes() != theirs.tobytes() for mine, theirs in zip(got, expected)):
+            wrong.append((rows, width, ball))
+    return wrong
+
+
+def test_split_solve_keeps_the_bits_of_the_whole_solve():
+    # from 2**20 entries on, W = L^{-1} A is solved as two column halves, one
+    # dtrsm call each, on two threads.  With one BLAS thread each column
+    # keeps the bits of the one solve_triangular call; the cut is a multiple
+    # of 192, since cuts at other multiples of 64 moved some columns' bits
+    assert in_one_blas_thread("row_basis_mismatches(split=False)") == "[]"
+
+
+def test_split_solve_does_not_depend_on_the_overlap():
+    # at any BLAS thread count: the bits of the halves solved one after the other
+    assert row_basis_mismatches(split=True) == []
+
+
+@pytest.mark.parametrize("capsules", ["no dtrsm", "another signature"])
+def test_row_basis_falls_back_to_one_solve_without_the_dtrsm_capsule(monkeypatch, capsules):
+    # dsyrk's capsule has a signature of its own, which must not pass for dtrsm's
+    table = {} if capsules == "no dtrsm" else {"dtrsm": cython_blas.__pyx_capi__["dsyrk"]}
+    calls = []
+    monkeypatch.setattr("symcs.solver._solve_lower", lambda *args: calls.append(args))
+    monkeypatch.setattr(cython_blas, "__pyx_capi__", table)
+    _dtrsm.cache_clear()
+    try:
+        assert _dtrsm() is None
+        matrix = gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1)
+        for ball in (False, True):
+            got = _row_basis(matrix, ball)
+            expected = scipy_row_basis(matrix, ball, split=False)
+            for mine, theirs in zip(got, expected):
+                assert mine.tobytes() == theirs.tobytes()
+    finally:
+        _dtrsm.cache_clear()
+    assert calls == []
+
+
+def test_split_solve_reaches_dtrsm_through_its_capsule(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        _solve_lower(*args)
+
+    monkeypatch.setattr("symcs.solver._solve_lower", counted)
+    assert _dtrsm() is not None
+    _row_basis(gen_measurement("partial-symmetric-bernoulli", 512, 2048, 1), False)
+    # 2048 columns cut at 960, the multiple of 192 nearest half
+    assert sorted(calls) == [(512, 960), (512, 1088)]
+    # one entry below the limit, W is one solve_triangular call
+    _row_basis(gen_measurement("partial-symmetric-bernoulli", 512, 2047, 1), False)
+    assert len(calls) == 2
+
+
+def test_split_solve_checks_each_block_before_the_blas_call():
+    calls = []
+    lower = np.asfortranarray(2.0 * np.eye(64))
+    a = np.ones((64, 100), order="F")
+    _solve_lower(lambda *args: calls.append(args), lower, a[:, 10:50])
+    assert len(calls) == 1
+    read_only = a.copy(order="F")
+    read_only.flags.writeable = False
+    bad = [
+        (lower, np.ones((64, 40))),                       # C order
+        (lower, np.ones((80, 40), order="F")[:64]),       # leading dimension 80
+        (lower, a[:, ::2]),                               # every other column
+        (lower, a[:32]),                                  # rows that L does not have
+        (lower, a.astype(np.float32)),
+        (lower, read_only),
+        (np.ascontiguousarray(np.tril(np.ones((64, 64)))), a),  # L in C order
+        (lower[:32, :32], a[:32]),                        # L with leading dimension 64
+        (lower[:, :32], a),                               # L not square
+    ]
+    for factor, block in bad:
+        with pytest.raises(ValueError, match="leading dimension"):
+            _solve_lower(lambda *args: calls.append(args), factor, block)
+    assert len(calls) == 1
+
+
+def row_basis_digest(matrix, ball):
+    return hashlib.sha256(b"".join(part.tobytes() for part in _row_basis(matrix, ball))).hexdigest()
+
+
 def test_split_products_from_several_threads_keep_the_bits():
     # three callers share the one worker thread, with thread switches forced
-    # often: each caller's outputs must still be its own, bit for bit
+    # often: each caller's outputs must still be its own, bit for bit, and so
+    # must the row bases they factor, whose solves split too
     basis = np.asfortranarray(np.random.default_rng(8).standard_normal((1024, 1100)))
     forward, backward = _basis_products(basis)
     vectors = [(Stream(seed).normals(1100), Stream(seed).normals(1024)) for seed in range(3)]
+    matrix = gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1)
+    factored = {ball: row_basis_digest(matrix, ball) for ball in (False, True)}
     mismatches = []
 
-    def caller(v, c):
+    def caller(v, c, ball):
         expected = [p.tobytes() for p in sequential_halves(basis, v, c)]
         coef, x = np.empty(1024), np.empty(1100)
-        for _ in range(20):
+        for it in range(20):
             forward(v, out=coef)
             backward(c, out=x)
             if [coef.tobytes(), x.tobytes()] != expected:
                 mismatches.append(v[0])
+            if it % 5 == 0 and row_basis_digest(matrix, ball) != factored[ball]:
+                mismatches.append(ball)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=caller, args=pair) for pair in vectors]
+        threads = [threading.Thread(target=caller, args=(v, c, i == 1))
+                   for i, (v, c) in enumerate(vectors)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -475,11 +610,14 @@ def test_split_products_from_several_threads_keep_the_bits():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_split_products_run_in_a_forked_child():
     # a child forked after a split product inherits the worker's executor
-    # but not its thread; its own split products must still finish
+    # but not its thread; its own split products and split solves must still
+    # finish
     basis = np.asfortranarray(np.random.default_rng(9).standard_normal((1024, 1024)))
     forward, _ = _basis_products(basis)
     v, coef = Stream(1).normals(1024), np.empty(1024)
     forward(v, out=coef)
+    matrix = gen_measurement("partial-symmetric-bernoulli", 520, 2048, 1)
+    digest = row_basis_digest(matrix, False)
     read, write = os.pipe()
     with warnings.catch_warnings():
         # Python 3.12 warns that forking a process with threads may deadlock
@@ -489,7 +627,7 @@ def test_split_products_run_in_a_forked_child():
         try:
             child_forward, _ = _basis_products(basis)
             child_forward(v, out=coef)
-            os.write(write, coef.tobytes())
+            os.write(write, coef.tobytes() + row_basis_digest(matrix, False).encode())
         finally:
             os._exit(0)
     os.close(write)
@@ -501,7 +639,7 @@ def test_split_products_run_in_a_forked_child():
             break
         time.sleep(0.01)
     with os.fdopen(read, "rb") as pipe:
-        assert pipe.read() == coef.tobytes()
+        assert pipe.read() == coef.tobytes() + digest.encode()
 
 
 def solve_peaks(rows, width):
