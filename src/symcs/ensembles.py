@@ -155,9 +155,9 @@ def shape(matrix) -> tuple:
     raise DimensionError(f"matrix must be a MeasurementMatrix or a 2-d float array, got {got}")
 
 
-def dense(matrix, order: str = "C") -> np.ndarray:
-    """A fresh float64 copy in memory ``order`` (``"C"`` or ``"F"``), the caller's to overwrite."""
-    out = np.empty(shape(matrix), order=order)
+def dense(matrix) -> np.ndarray:
+    """A fresh C-ordered float64 copy, the caller's to overwrite."""
+    out = np.empty(shape(matrix))
     fill_dense(matrix, out)
     return out
 

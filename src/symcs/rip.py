@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -271,41 +272,16 @@ def _extend(prefixes: np.ndarray, top: int) -> np.ndarray:
     ``prefixes`` is an ``(m, d)`` index array in lexicographic order, ``d``
     possibly 0; the rows come out in lexicographic order too.
     """
-    last = _last(prefixes)
-    counts = top - 1 - last
-    ends = np.cumsum(counts)
-    # row r of prefix p's block, which starts at ends[p] - counts[p], takes
-    # column last[p] + 1 + r - (ends[p] - counts[p])
-    column = np.arange(ends[-1]) + np.repeat(last + 1 - ends + counts, counts)
-    return np.column_stack((np.repeat(prefixes, counts, axis=0), column))
+    # nonzero's row-major (prefix, column) order is the lexicographic one
+    p, c = np.nonzero(np.arange(top) > _last(prefixes)[:, None])
+    return np.column_stack((prefixes[p], c))
 
 
 def _prefix_chunks(depth: int, top: int, size: int):
-    """The ``depth``-subsets of ``range(top)`` in lexicographic chunks of ``size``, the last shorter.
-
-    Each chunk is unranked column by column.  With ``low`` the least column
-    still free and ``r`` a row's rank among the ``j``-subsets of ``range(low,
-    top)``, those whose first column is below ``x`` number ``C(top - low, j)
-    - C(top - x, j)``; so the next column is the ``x`` whose ``C(top - x,
-    j)`` is the least at or above ``C(top - low, j) - r``.
-    """
-    gap = top - depth
-    # binom[j, u] = C(j + u, j): by Pascal's rule each row is the running sum of the last
-    binom = np.ones((depth + 1, gap + 1), dtype=np.int64)
-    for j in range(1, depth + 1):
-        np.cumsum(binom[j - 1], out=binom[j])
-    total = int(binom[depth, gap])
-    for first in range(0, total, size):
-        rank = np.arange(first, min(first + size, total))
-        rows = np.empty((len(rank), depth), dtype=np.int64)
-        low = 0
-        for i, j in enumerate(range(depth, 0, -1)):
-            target = binom[j, top - low - j] - rank
-            u = np.searchsorted(binom[j], target)
-            rows[:, i] = top - j - u
-            rank = binom[j, u] - target
-            low = rows[:, i] + 1
-        yield rows
+    """The ``depth``-subsets of ``range(top)`` in lexicographic chunks of ``size``, the last shorter."""
+    subsets = combinations(range(top), depth)
+    while chunk := list(islice(subsets, size)):
+        yield np.array(chunk, dtype=np.int64).reshape(len(chunk), depth)
 
 
 def _suffix_tables(off: np.ndarray):
@@ -422,7 +398,6 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
         solve(np.array(seeds))
         if order > 2:
             tables = _suffix_tables(off)
-    above = ~np.tri(dimension, dtype=bool)  # above[i, c]: c > i
     per_chunk = max(1, _CHUNK_BYTES // (8 * dimension))
     for subtrees in _prefix_chunks(order - 2, dimension - 2, per_chunk):
         if order > 2 and finite:
@@ -433,7 +408,7 @@ def delta_k_bruteforce(matrix, order: int) -> RipEstimate:
         for first in range(0, len(prefixes), per_chunk):
             chunk = prefixes[first:first + per_chunk]
             bound = _prefix_bounds(off, chunk)
-            valid = above[chunk[:, -1]]
+            valid = np.arange(dimension) > chunk[:, -1, None]
             bad = valid & ~np.isfinite(bound)
             if bad.any():
                 p, c = np.unravel_index(np.argmax(bad), bad.shape)

@@ -100,7 +100,8 @@ def test_gaussian_consumes_row_major():
     assert matrix.signs is None
     # a dense ensemble keeps its entries; only dense() copies them
     assert matrix.entries is matrix.entries
-    fortran = ens.dense(matrix, "F")
+    fortran = np.empty((3, 5), order="F")
+    ens.fill_dense(matrix, fortran)
     assert fortran.flags.f_contiguous and np.array_equal(fortran, matrix.entries)
     assert not np.shares_memory(fortran, matrix.entries)
 
@@ -253,13 +254,10 @@ def test_sign_matrix_builds_its_floats_from_the_signs(name, rows, dimension):
     entries = matrix.entries
     assert entries.flags.c_contiguous
     assert entries.tobytes() == expected.tobytes()
-    fortran = ens.dense(matrix, "F")
-    assert fortran.flags.f_contiguous
-    assert fortran.tobytes(order="C") == expected.tobytes()
     # every build is a fresh array the caller may overwrite
     assert not np.shares_memory(entries, matrix.entries)
-    assert not np.shares_memory(fortran, ens.dense(matrix, "F"))
-    # the entries written into a block of a wider array, the rest untouched
+    assert not np.shares_memory(ens.dense(matrix), ens.dense(matrix))
+    # the entries written into a Fortran-ordered block of a wider array, the rest untouched
     wide = np.zeros((rows, dimension + 3), order="F")
     ens.fill_dense(matrix, wide[:, :dimension])
     assert wide[:, :dimension].tobytes(order="C") == expected.tobytes()
@@ -269,10 +267,14 @@ def test_sign_matrix_builds_its_floats_from_the_signs(name, rows, dimension):
 def test_an_array_reads_as_a_fresh_float64_copy():
     a = np.arange(6, dtype=np.float32).reshape(2, 3)
     assert ens.shape(a) == (2, 3)
-    for order, contiguous in (("C", "C_CONTIGUOUS"), ("F", "F_CONTIGUOUS")):
-        out = ens.dense(a, order)
-        assert out.dtype == np.float64 and out.flags[contiguous]
-        assert np.array_equal(out, a) and not np.shares_memory(out, a)
+    out = ens.dense(a)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, a) and not np.shares_memory(out, a)
+    # fill_dense casts it into a Fortran-ordered buffer
+    fortran = np.empty((2, 3), order="F")
+    ens.fill_dense(a, fortran)
+    assert fortran.flags.f_contiguous
+    assert np.array_equal(fortran, a) and not np.shares_memory(fortran, a)
 
 
 # every routine that takes a matrix, called with otherwise valid arguments

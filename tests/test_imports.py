@@ -1,11 +1,13 @@
 """Imports: scipy.linalg loads at the first factorization, not with symcs,
-and every name a module lists in ``__all__`` is defined there.
+every name a module lists in ``__all__`` is defined there, and every private
+module-level name is used somewhere in the package.
 
 Each scipy case runs in a fresh interpreter with the package's source
 directory on ``PYTHONPATH``, so no module that an earlier test imported can
 hide a module-level ``scipy`` import.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -85,3 +87,29 @@ def test_every_name_in_all_is_defined(name):
     # a name moved out of a module but left in its __all__ fails here
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_private_module_level_name_is_used():
+    # a helper left behind when its last caller is deleted fails here; only
+    # code counts, so a docstring or comment that names it does not keep it
+    defined, used = set(), set()
+    for path in Path(symcs.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined |= {(path.stem, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert sorted((m, n) for m, n in defined if n not in used) == []

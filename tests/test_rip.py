@@ -267,6 +267,19 @@ def test_prefix_chunks_are_the_lexicographic_subsets_in_full_chunks():
         assert rows == list(combinations(range(top), depth))
 
 
+def test_extend_appends_each_column_above_the_last_in_lexicographic_order():
+    for top in range(8):
+        for depth in range(top + 1):
+            # every depth-subset: the empty prefix at depth 0, and from depth 1
+            # prefixes ending at top - 1, which have no extension
+            prefixes = list(combinations(range(top), depth))
+            chunk = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), depth)
+            expected = [(*p, c) for p in prefixes for c in range((p[-1] + 1) if p else 0, top)]
+            extended = rip._extend(chunk, top)
+            assert extended.shape == (len(expected), depth + 1)
+            assert [tuple(row) for row in extended.tolist()] == expected
+
+
 def test_subtree_bounds_prune_most_order_four_prefixes(monkeypatch):
     # every exactness test passes with the subtree bound switched off; this
     # one does not: 151 of the 1771 (k-1)-prefixes are bounded on this draw

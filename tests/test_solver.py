@@ -462,7 +462,7 @@ def scipy_row_basis(matrix, ball, split):
     ``solve_triangular`` on the whole buffer or, with ``split``, on the split
     solve's two column halves one after the other."""
     rows, width = shape(matrix)
-    a = dense(matrix, "F")
+    a = np.asfortranarray(dense(matrix))
     if ball:
         a = np.asfortranarray(np.hstack([a, np.eye(rows)]))
     gram = dsyrk(1.0, a[:, :width], lower=1)
