@@ -194,9 +194,7 @@ def gen_symmetric_sign_matrix(rows: int, dimension: int, seed: int) -> np.ndarra
     rows, dimension = _check_shape(rows, dimension)
     draws = Stream(seed).signs(rows * dimension - rows * (rows - 1) // 2)
     # windows[s] is the N outputs from s on, a view of draws
-    windows = np.ndarray(
-        (len(draws) - dimension + 1, dimension), np.int8, draws, strides=(1, 1)
-    )
+    windows = np.lib.stride_tricks.sliding_window_view(draws, dimension)
     i = np.arange(rows)
     signs = windows[i * (2 * dimension - 1 - i) // 2]
     block = signs[:, :rows]

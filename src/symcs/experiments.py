@@ -365,24 +365,20 @@ def _run_cell(spec: ExperimentSpec, ensemble: str, axis_index: int) -> SweepRow:
     value = spec.axis_values[axis_index]
     rows_n, sparsity, sigma, kind = spec.cell_params(value)
     ensemble_index = ENSEMBLES.index(ensemble)
-    errors = []
-    iterations = []
-    successes = 0
-    for trial in range(spec.trials):
-        seed = derive_seed(spec.master_seed, [ensemble_index, axis_index, trial])
-        outcome = run_trial(
+    outcomes = [
+        run_trial(
             ensemble,
             spec.dimension,
             rows_n,
             sparsity,
             kind,
             sigma,
-            seed,
+            derive_seed(spec.master_seed, [ensemble_index, axis_index, trial]),
             spec.max_iterations,
         )
-        errors.append(outcome.rel_err)
-        iterations.append(outcome.iterations)
-        successes += outcome.success
+        for trial in range(spec.trials)
+    ]
+    errors = [outcome.rel_err for outcome in outcomes]
     mean_snr = exact = None
     if sigma > 0.0 or spec.axis == "sigma":
         finite = [snr_db(e) for e in errors if e > 0.0]
@@ -393,9 +389,9 @@ def _run_cell(spec: ExperimentSpec, ensemble: str, axis_index: int) -> SweepRow:
         axis=spec.axis,
         axis_value=value,
         trials=spec.trials,
-        successes=successes,
+        successes=sum(outcome.success for outcome in outcomes),
         mean_rel_err=float(np.mean(errors)),
-        mean_iterations=float(np.mean(iterations)),
+        mean_iterations=float(np.mean([outcome.iterations for outcome in outcomes])),
         mean_snr_db=mean_snr,
         exact_count=exact,
     )

@@ -3,10 +3,12 @@
 The parser accepts the two portable graymap forms (ASCII ``P2`` and raw
 ``P5``) strictly: every malformed input raises PgmParseError carrying the
 byte offset of the offending content, and no raster larger than the bytes
-after its header is allocated.  The writer emits ``P2`` only, in one
-canonical form: maxval is always 255, each pixel row is one line with single
-spaces, and the 1x1 zero image is exactly ``P2\\n1 1\\n255\\n0\\n``.  Levels
-from files with a smaller maxval are kept as stored, not resampled.
+after its header is allocated.  It tokenizes with one regular expression,
+read lazily and never past the maxval of a ``P5`` file, so it never scans a
+raw raster.  The writer emits ``P2`` only, in one canonical form: maxval is
+always 255, each pixel row is one line with single spaces, and the 1x1 zero
+image is exactly ``P2\\n1 1\\n255\\n0\\n``.  Levels from files with a smaller
+maxval are kept as stored, not resampled.
 
 Recovery flattens an image row-major, measures it with a chosen ensemble,
 and reconstructs by equality-constrained l1 minimization with the solver's
@@ -25,6 +27,8 @@ output image rounds and clamps to byte range.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -78,98 +82,78 @@ class GrayImage:
         return hash((self.pixels.shape, self.pixels.tobytes()))
 
 
-class _Scanner:
-    """Header tokenizer tracking byte offsets, with comment support."""
+# a comment, which runs to the end of its line, or a token, which runs to
+# the next whitespace byte or ``#``
+_TOKENS = re.compile(rb"#[^\n]*|[^ \t\r\n\x0b\x0c#]+")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def skip_separators(self, require: bool) -> None:
-        start = self.pos
-        while self.pos < len(self.data):
-            byte = self.data[self.pos]
-            if byte in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif byte == ord("#"):
-                while self.pos < len(self.data) and self.data[self.pos] != ord("\n"):
-                    self.pos += 1
-            else:
-                break
-        if require and self.pos == start:
-            raise PgmParseError("expected whitespace", self.pos)
-
-    def token(self) -> bytes:
-        self.skip_separators(require=False)
-        if self.pos >= len(self.data):
-            raise PgmParseError("unexpected end of header", self.pos)
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        return self.data[start : self.pos]
-
-    def integer(self, label: str, low: int, high: int) -> int:
-        tok = self.token()
-        offset = self.pos - len(tok)
-        if not tok.isdigit():
-            raise PgmParseError(f"{label} is not a decimal integer", offset)
-        value = int(tok)
-        if not low <= value <= high:
-            raise PgmParseError(
-                f"{label} {value} outside [{low}, {high}]", offset
-            )
-        return value
+def _integer(token: re.Match, label: str, low: int, high: int) -> int:
+    text = token[0]
+    if not text.isdigit():
+        raise PgmParseError(f"{label} is not a decimal integer", token.start())
+    value = int(text)
+    if not low <= value <= high:
+        raise PgmParseError(f"{label} {value} outside [{low}, {high}]", token.start())
+    return value
 
 
 def parse_pgm(data: bytes) -> GrayImage:
     """Parse PGM bytes strictly; errors carry the byte offset."""
     if not isinstance(data, (bytes, bytearray)):
         raise PgmParseError("input is not bytes", 0)
-    scan = _Scanner(bytes(data))
-    magic = scan.token()
+    data = bytes(data)
+    # lazy, so nothing past the last token taken is read: the bytes of a P5
+    # raster stay data even where they look like separators or comments
+    tokens = (t for t in _TOKENS.finditer(data) if t[0][:1] != b"#")
+
+    def header() -> re.Match:
+        token = next(tokens, None)
+        if token is None:
+            raise PgmParseError("unexpected end of header", len(data))
+        return token
+
+    magic = header()[0]
     if magic not in (b"P2", b"P5"):
         raise PgmParseError(f"unknown magic {magic!r}", 0)
-    width = scan.integer("width", 1, 1 << 20)
-    height = scan.integer("height", 1, 1 << 20)
-    maxval = scan.integer("maxval", 1, 1 << 16)
+    width = _integer(header(), "width", 1, 1 << 20)
+    height = _integer(header(), "height", 1, 1 << 20)
+    token = header()
+    maxval = _integer(token, "maxval", 1, 1 << 16)
+    pos = token.end()
     if maxval > 255:
-        raise PgmParseError(f"maxval {maxval} above 255 is unsupported", scan.pos)
+        raise PgmParseError(f"maxval {maxval} above 255 is unsupported", pos)
     count = width * height
     if magic == b"P5":
-        if scan.pos >= len(scan.data):
-            raise PgmParseError("missing separator after maxval", scan.pos)
-        if scan.data[scan.pos] not in b" \t\r\n\x0b\x0c":
-            raise PgmParseError("maxval must be followed by one whitespace byte", scan.pos)
-        scan.pos += 1
-        body = scan.data[scan.pos :]
+        if pos >= len(data):
+            raise PgmParseError("missing separator after maxval", pos)
+        if data[pos] not in b" \t\r\n\x0b\x0c":
+            raise PgmParseError("maxval must be followed by one whitespace byte", pos)
+        pos += 1
+        body = data[pos:]
         if len(body) < count:
-            raise PgmParseError(
-                f"raster needs {count} bytes, found {len(body)}",
-                scan.pos + len(body),
-            )
+            raise PgmParseError(f"raster needs {count} bytes, found {len(body)}", len(data))
         if len(body) > count:
-            raise PgmParseError("trailing bytes after raster", scan.pos + count)
+            raise PgmParseError("trailing bytes after raster", pos + count)
         flat = np.frombuffer(body, dtype=np.uint8)
         if int(flat.max()) > maxval:
             bad = int(np.argmax(flat > maxval))
-            raise PgmParseError(
-                f"pixel {int(flat[bad])} above maxval {maxval}", scan.pos + bad
-            )
+            raise PgmParseError(f"pixel {int(flat[bad])} above maxval {maxval}", pos + bad)
         return GrayImage(pixels=flat.reshape(height, width).copy())
     # each pixel takes at least one digit, so no raster outgrows the file
-    left = len(scan.data) - scan.pos
+    left = len(data) - pos
     if left < count:
-        raise PgmParseError(
-            f"raster needs at least {count} bytes, found {left}", len(scan.data)
-        )
-    values = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        scan.skip_separators(require=i > 0)
-        values[i] = scan.integer(f"pixel {i}", 0, maxval)
-    scan.skip_separators(require=False)
-    if scan.pos < len(scan.data):
-        raise PgmParseError("trailing content after pixels", scan.pos)
-    return GrayImage(pixels=values.reshape(height, width))
+        raise PgmParseError(f"raster needs at least {count} bytes, found {left}", len(data))
+    values = []
+    for token in itertools.islice(tokens, count):
+        values.append(_integer(token, f"pixel {len(values)}", 0, maxval))
+    if len(values) < count:
+        # a token runs to a separator or to the end of the file
+        cut = token.end() == len(data)
+        raise PgmParseError("expected whitespace" if cut else "unexpected end of header", len(data))
+    trailing = next(tokens, None)
+    if trailing is not None:
+        raise PgmParseError("trailing content after pixels", trailing.start())
+    return GrayImage(pixels=np.array(values, dtype=np.uint8).reshape(height, width))
 
 
 def read_pgm(path) -> GrayImage:

@@ -437,10 +437,11 @@ def delta2_coherence(matrix) -> float:
         )
     if matrix.dimension < 2:
         raise DimensionError("need at least 2 columns")
-    signs = matrix.signs.astype(np.int64)
-    dots = signs.T @ signs
-    np.fill_diagonal(dots, 0)
-    return float(np.abs(dots).max()) / matrix.rows
+    # off the diagonal, |G - I| is |dots| / rows correctly rounded, and rounding
+    # is monotone, so its largest entry is the largest |dots| over rows
+    off = _gram_offsets(matrix)
+    np.fill_diagonal(off, 0.0)
+    return float(off.max())
 
 
 def recovery_condition(delta2k: float) -> bool:

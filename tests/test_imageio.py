@@ -55,6 +55,11 @@ def test_header_comments_are_skipped():
     assert img.pixels.tolist() == [[0, 7]]
 
 
+def test_raw_raster_bytes_that_look_like_separators_stay_data():
+    img = parse_pgm(b"P5\n3 1\n255\n#\n ")
+    assert img.pixels.tolist() == [[35, 10, 32]]
+
+
 def test_smaller_maxval_levels_kept_as_stored():
     img = parse_pgm(b"P2\n2 1\n10\n0 10\n")
     assert img.pixels.tolist() == [[0, 10]]
@@ -67,6 +72,7 @@ PARSE_ERRORS = [
     (b"P2\n1 1\n70000\n0\n", "maxval 70000 outside", 7),
     (b"P2\n1 1\n65535\n0\n", "above 255 is unsupported", 12),
     (b"P5\n1 1\n255", "missing separator after maxval", 10),
+    (b"P5\n1 1\n255#c\n\x00", "maxval must be followed by one whitespace byte", 10),
     (b"P5\n1 1\n255\n\nA", "trailing bytes after raster", 12),
     (b"P5\n2 2\n255\nABC", "raster needs 4 bytes, found 3", 14),
     (b"P5\n1 2\n10\n" + bytes([3, 200]), "pixel 200 above maxval 10", 11),
@@ -74,6 +80,9 @@ PARSE_ERRORS = [
     (b"P2\n1 1\n255\n0\n7\n", "trailing content after pixels", 13),
     (b"P2\n2 1\n255\n00", "expected whitespace", 13),
     (b"P2\n2 1\n255\n0\n", "unexpected end", 13),
+    # a pixel missing after a comment: the last token does not end the file
+    (b"P2\n2 1\n255\n0 #c\n", "unexpected end", 16),
+    (b"P2\n2 1\n255\n0#c", "unexpected end", 14),
     # a P2 raster is sized against the bytes left before it is allocated
     (b"P2\n1048576 1048576\n255\n0\n",
      "raster needs at least 1099511627776 bytes, found 3", 25),
@@ -136,6 +145,40 @@ def test_roundtrip_property(pixels):
     img = GrayImage(pixels=pixels)
     assert parse_pgm(pgm_bytes(img)) == img
     assert parse_pgm(p5_bytes(img)) == img
+
+
+# a run of whitespace bytes and ``#...\n`` comments, which separates tokens
+separator_runs = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=3).map(
+            lambda b: bytes(b" \t\r\n\x0b\x0c"[v % 6] for v in b)
+        ),
+        st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n"),
+    ),
+    min_size=1,
+    max_size=3,
+).map(b"".join)
+
+
+@given(
+    pixels=hnp.arrays(
+        dtype=np.uint8,
+        shape=st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=1, max_value=4),
+        ),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_tokens_rejoined_with_any_separators_parse_the_same(pixels, data):
+    img = GrayImage(pixels=pixels)
+    tokens = pgm_bytes(img).split()
+    ends = [data.draw(st.just(b"") | separator_runs) for _ in range(2)]
+    joined = ends[0] + tokens[0]
+    for token in tokens[1:]:
+        joined += data.draw(separator_runs) + token
+    assert parse_pgm(joined + ends[1]) == img
 
 
 def test_synthetic_sparse_image_contract():
